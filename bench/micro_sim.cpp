@@ -1,12 +1,17 @@
 // google-benchmark micro suite for the simulator substrate itself: the §3
 // mechanisms (coalescing, atomics, launches) at kernel-op granularity, plus
-// host-side substrate throughput (generators, cache model).
+// host-side substrate throughput (generators, cache model) and the fixed
+// per-run and per-request costs of serving (device reset, ego extraction).
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "common/rng.hpp"
+#include "graph/datasets.hpp"
 #include "graph/generators.hpp"
 #include "kernels/conv_common.hpp"
 #include "kernels/gather_pull.hpp"
+#include "serve/traffic.hpp"
 #include "sim/cache.hpp"
 #include "sim/device.hpp"
 
@@ -99,6 +104,25 @@ void BM_CacheThrash(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheThrash);
 
+// --- fixed per-run cost ---------------------------------------------------------
+
+// What every GnnSystem::run pays before its first kernel: a full-V100
+// reset_all (80 L1s plus the L2, profile, arena) and a 256 KB upload into
+// the reset arena.
+void BM_DeviceResetAll(benchmark::State& state) {
+  sim::Device dev;
+  Rng rng(6);
+  std::vector<float> host(64 << 10);
+  for (float& x : host) x = static_cast<float>(rng.next_double());
+  for (auto _ : state) {
+    dev.reset_all();
+    const auto p = dev.upload<float>(host);
+    benchmark::DoNotOptimize(p.byte_offset);
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_DeviceResetAll);
+
 // --- end-to-end kernel simulation throughput ---------------------------------
 
 void BM_GatherPullKernelSim(benchmark::State& state) {
@@ -134,6 +158,24 @@ void BM_PowerLawGenerator(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0) * 10);
 }
 BENCHMARK(BM_PowerLawGenerator)->Arg(1000)->Arg(20000);
+
+// Per-request ego extraction of the serving tier: 2-hop egos capped at 512
+// vertices around seeded query vertices of the PD replica.
+void BM_EgoSubgraph(benchmark::State& state) {
+  const graph::Csr g = graph::make_dataset(graph::dataset_by_abbr("PD"));
+  Rng rng(7);
+  std::int64_t vertices = 0;
+  for (auto _ : state) {
+    const auto q = static_cast<graph::VertexId>(
+        rng.next_below(static_cast<std::uint64_t>(g.num_vertices())));
+    const graph::LocalGraph ego = serve::ego_subgraph(g, q, 2, 512);
+    vertices += ego.csr.num_vertices();
+    benchmark::DoNotOptimize(ego.csr.indices().data());
+  }
+  state.counters["ego_vertices"] = static_cast<double>(vertices) /
+                                   static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_EgoSubgraph);
 
 void BM_CsrReverse(benchmark::State& state) {
   Rng rng(5);

@@ -1,9 +1,11 @@
 #include "serve/traffic.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/check.hpp"
+#include "graph/builder.hpp"
 
 namespace tlp::serve {
 
@@ -37,6 +39,36 @@ std::vector<VertexId> rank_to_vertex(VertexId n, Rng& rng) {
   }
   return perm;
 }
+
+/// Open-addressing set of vertex ids sized for at most `max_members`
+/// members: the BFS visited set of one ego extraction. Sized by the ego cap
+/// instead of |V|, so a request costs O(ego) however large the graph is.
+class VisitedSet {
+ public:
+  explicit VisitedSet(std::int64_t max_members)
+      : slots_(std::bit_ceil(2 * static_cast<std::uint64_t>(max_members)),
+               -1),
+        shift_(64 - std::countr_zero(slots_.size())) {}
+
+  /// Adds `v`; false if it was already a member.
+  bool insert(VertexId v) {
+    const std::size_t mask = slots_.size() - 1;
+    // Fibonacci hash; the table is at most half full, so probing ends.
+    for (std::size_t i = (static_cast<std::uint64_t>(v) *
+                          0x9E3779B97F4A7C15ull) >> shift_;
+         ; i = (i + 1) & mask) {
+      if (slots_[i] == v) return false;
+      if (slots_[i] < 0) {
+        slots_[i] = v;
+        return true;
+      }
+    }
+  }
+
+ private:
+  std::vector<VertexId> slots_;  ///< -1 = empty
+  int shift_;
+};
 
 }  // namespace
 
@@ -89,26 +121,45 @@ graph::LocalGraph ego_subgraph(const graph::Csr& g, VertexId query, int hops,
   TLP_CHECK_GE(hops, 0);
   TLP_CHECK_GE(max_vertices, 1);
 
-  std::vector<bool> keep(static_cast<std::size_t>(g.num_vertices()), false);
-  keep[static_cast<std::size_t>(query)] = true;
-  std::int64_t kept = 1;
-  std::vector<VertexId> frontier{query};
-  for (int h = 0; h < hops && !frontier.empty() && kept < max_vertices; ++h) {
-    std::vector<VertexId> next;
-    for (const VertexId v : frontier) {
-      for (const VertexId u : g.neighbors(v)) {
-        if (kept >= max_vertices) break;
-        if (!keep[static_cast<std::size_t>(u)]) {
-          keep[static_cast<std::size_t>(u)] = true;
-          ++kept;
-          next.push_back(u);
-        }
+  // BFS; ids[level_begin, level_end) is the current hop's frontier.
+  VisitedSet seen(std::min<std::int64_t>(max_vertices, g.num_vertices()));
+  seen.insert(query);
+  std::vector<VertexId> ids{query};
+  const auto full = [&] {
+    return static_cast<std::int64_t>(ids.size()) >= max_vertices;
+  };
+  std::size_t level_begin = 0;
+  for (int h = 0; h < hops && level_begin < ids.size() && !full(); ++h) {
+    const std::size_t level_end = ids.size();
+    for (std::size_t i = level_begin; i < level_end && !full(); ++i) {
+      for (const VertexId u : g.neighbors(ids[i])) {
+        if (full()) break;
+        if (seen.insert(u)) ids.push_back(u);
       }
-      if (kept >= max_vertices) break;
     }
-    frontier = std::move(next);
+    level_begin = level_end;
   }
-  return graph::induced_subgraph(g, keep);
+
+  // The same edges, in the same order, as graph::induced_subgraph over the
+  // visited set builds: kept rows in id order, each in CSR order, sources
+  // relabeled by their rank among the kept ids.
+  std::sort(ids.begin(), ids.end());
+  std::vector<graph::Edge> edges;
+  for (std::size_t lv = 0; lv < ids.size(); ++lv) {
+    for (const VertexId u : g.neighbors(ids[lv])) {
+      const auto it = std::lower_bound(ids.begin(), ids.end(), u);
+      if (it != ids.end() && *it == u) {
+        edges.push_back({static_cast<VertexId>(it - ids.begin()),
+                         static_cast<VertexId>(lv)});
+      }
+    }
+  }
+  graph::LocalGraph out;
+  out.csr = graph::build_csr(static_cast<VertexId>(ids.size()),
+                             std::move(edges), {.dedup = false});
+  out.num_owned = static_cast<VertexId>(ids.size());
+  out.to_global = std::move(ids);
+  return out;
 }
 
 std::vector<Request> generate_traffic(const graph::Csr& g,

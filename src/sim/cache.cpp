@@ -26,16 +26,16 @@ bool SetAssocCache::contains(std::uint64_t byte_addr) const {
   const std::uint64_t line = line_of(byte_addr);
   const std::size_t base = set_of(line) * static_cast<std::size_t>(ways_);
   for (std::size_t w = base; w < base + static_cast<std::size_t>(ways_); ++w) {
-    if (ways_flat_[w].tag == line && ways_flat_[w].last_use != 0) return true;
+    if (ways_flat_[w].tag == line && ways_flat_[w].last_use > epoch_)
+      return true;
   }
   return false;
 }
 
 void SetAssocCache::reset() {
-  ways_flat_.assign(ways_flat_.size(), Way{0, 0});
+  epoch_ = tick_;
   last_line_ = 0;
   last_way_ = kNoWay;
-  tick_ = 0;
   accesses_ = 0;
   hits_ = 0;
 }

@@ -45,6 +45,9 @@ class SetAssocCache {
         &ways_flat_[set_of(line) * static_cast<std::size_t>(ways_)], 1, 3);
   }
 
+  /// Empties the cache and zeroes the counters in O(1): the tag array is
+  /// left in place and its ways are retired by the epoch rule (see
+  /// ways_flat_), so a device reset does not rewrite megabytes of tags.
   void reset();
 
   [[nodiscard]] std::int64_t accesses() const { return accesses_; }
@@ -79,15 +82,20 @@ class SetAssocCache {
     std::uint64_t tag;
     std::uint64_t last_use;
   };
-  // Flat array, num_sets_ * ways_ entries. A way is empty iff its last_use
-  // is 0 (tick_ starts at 1), so no tag value is a sentinel and a line that
+  // Flat array, num_sets_ * ways_ entries. A way is live iff its last_use
+  // is greater than epoch_, so no tag value is a sentinel and a line that
   // happens to equal the old ~0 filler can never produce a bogus cold hit.
+  // reset() moves epoch_ up to tick_ instead of rewriting the array: every
+  // way dies at once, and since ticks never repeat, a dead way's last_use
+  // is below every live one's, so LRU still fills dead ways first and the
+  // hit/miss sequence matches a freshly built cache.
   std::vector<Way> ways_flat_;
   // MRU filter: absolute index of the way holding the most recently
   // accessed line (kNoWay until the first access after construction/reset).
   std::uint64_t last_line_ = 0;
   std::size_t last_way_ = kNoWay;
   std::uint64_t tick_ = 0;
+  std::uint64_t epoch_ = 0;  ///< tick_ at the last reset()
   std::int64_t accesses_ = 0;
   std::int64_t hits_ = 0;
 };
@@ -108,7 +116,7 @@ inline bool SetAssocCache::access(std::uint64_t byte_addr) {
   std::size_t victim = base;
   for (std::size_t w = base; w < base + static_cast<std::size_t>(ways_); ++w) {
     const Way& e = ways_flat_[w];
-    if (e.tag == line && e.last_use != 0) {
+    if (e.tag == line && e.last_use > epoch_) {
       ways_flat_[w].last_use = tick_;
       last_line_ = line;
       last_way_ = w;

@@ -23,15 +23,23 @@ constexpr std::uint64_t kRedzoneBytes = 256;
 
 std::uint64_t DeviceMemory::bump(std::uint64_t bytes) {
   constexpr std::uint64_t kAlign = 256;
+  const std::uint64_t start = top_;
   const std::uint64_t offset = (top_ + kAlign - 1) / kAlign * kAlign;
   top_ = offset + bytes;
-  if (top_ > arena_.size()) {
-    // Grow geometrically; growth moves the arena, so every outstanding view
-    // is invalidated — the generation bump makes stale use detectable.
-    std::uint64_t cap = arena_.empty() ? (1u << 20) : arena_.size();
+  if (top_ > size_) {
+    // Grow geometrically. The storage moves only when it is smaller than the
+    // new size, but every growth invalidates outstanding views — the
+    // generation bump makes stale use detectable at the same calls either
+    // way.
+    std::uint64_t cap = size_ == 0 ? (1u << 20) : size_;
     while (cap < top_) cap *= 2;
-    arena_.resize(cap);
+    size_ = cap;
+    if (size_ > arena_.size()) arena_.resize(size_);
     ++generation_;
+  }
+  // The handout, alignment padding included, must read zero.
+  if (start < dirty_) {
+    std::memset(arena_.data() + start, 0, std::min(top_, dirty_) - start);
   }
   return offset;
 }
@@ -200,7 +208,7 @@ void DeviceMemory::note_store(std::uint64_t byte_addr, int bytes,
 }
 
 void DeviceMemory::flip_bit(std::uint64_t byte_addr, int bit) {
-  TLP_CHECK_LT(byte_addr, arena_.size());
+  TLP_CHECK_LT(byte_addr, top_);
   TLP_CHECK_GE(bit, 0);
   TLP_CHECK_LT(bit, 8);
   arena_[byte_addr] ^= std::byte{static_cast<unsigned char>(1u << bit)};
@@ -208,11 +216,12 @@ void DeviceMemory::flip_bit(std::uint64_t byte_addr, int bit) {
 
 void DeviceMemory::reset() {
   if (trace_ != nullptr) trace_->record_reset();
+  // Every access was bounded by top_, so nothing past it was written.
+  dirty_ = std::max(dirty_, top_);
   top_ = 0;
+  size_ = 0;
   live_bytes_ = 0;
   peak_bytes_ = 0;
-  arena_.clear();
-  arena_.shrink_to_fit();
   ++generation_;
   allocs_.clear();
   write_shadow_.clear();

@@ -6,6 +6,15 @@
 // is a bump pointer with live/peak accounting; `peak_bytes()` is the
 // "Global mem usage" metric of Table 3.
 //
+// Storage is kept across reset(): it rewinds the bump pointer without
+// touching the bytes, so a device reused run after run (every
+// GnnSystem::run resets) does not free, re-allocate and zero-fill its arena
+// each time, and the storage stays as large as the largest run so far.
+// Allocations still read zero: bump() clears just the bytes it hands out
+// that an earlier run dirtied (DESIGN.md §10). Every access, in fast mode
+// too, is bounded by the bump top rather than the storage size, since the
+// bytes past the top may hold an earlier run's data.
+//
 // Robustness features (see DESIGN.md "Fault model & memory safety"):
 //  - A capacity limit (from GpuSpec::memory_bytes) makes alloc() throw
 //    tlp::OutOfMemory instead of growing unboundedly; the limit models a
@@ -17,11 +26,14 @@
 //  - A FaultPlan can force the Nth allocation to fail with OutOfMemory so
 //    degradation paths are testable without huge workloads.
 //
-// View invalidation contract: alloc() may grow (and therefore move) the
-// arena, which invalidates every previously obtained view. Views carry the
-// arena generation at creation and re-derive their pointer from the arena on
-// each access, so use of a stale view fails loudly instead of reading freed
-// storage.
+// View invalidation contract: the arena has a logical size that starts at
+// 1 MB on the first allocation after construction or reset() and doubles
+// until the bump top fits. Every alloc() that grows it, and every reset(),
+// invalidates all previously obtained views — also when the kept storage was
+// already large enough and nothing moved, so which calls invalidate does not
+// depend on what ran before. Views carry the arena generation at creation
+// and re-derive their pointer from the arena on each access, so use of a
+// stale view fails loudly instead of reading moved storage.
 #pragma once
 
 #include <algorithm>
@@ -57,7 +69,7 @@ struct DevPtr {
 };
 
 enum class MemoryMode {
-  kFast,     ///< no per-access validation beyond the arena bound
+  kFast,     ///< no per-access validation beyond the bump-top bound
   kGuarded,  ///< redzones, poison fill, OOB/UAF checks, write-race detection
 };
 
@@ -186,9 +198,11 @@ class DeviceMemory {
   }
 
   /// Raw typed access used by the warp context's load/store paths. The arena
-  /// bound is enforced in every build mode (a silent out-of-bounds access
-  /// would corrupt a neighbouring buffer); guarded mode additionally checks
-  /// that the access lands inside a single live allocation.
+  /// bound — the bump top, the end of the last allocation handed out — is
+  /// enforced in every build mode (a silent out-of-bounds access would
+  /// corrupt a neighbouring buffer, and bytes past the top may hold an
+  /// earlier run's data); guarded mode additionally checks that the access
+  /// lands inside a single live allocation.
   template <class T>
   [[nodiscard]] T read(std::uint64_t byte_addr) const {
     bounds_check(byte_addr, sizeof(T));
@@ -226,11 +240,10 @@ class DeviceMemory {
   /// (__builtin_prefetch never traps anyway, but the pointer arithmetic must
   /// stay in range).
   void host_prefetch(std::uint64_t byte_addr, std::size_t bytes) const {
-    if (byte_addr >= arena_.size()) return;
+    if (byte_addr >= top_) return;
     const std::byte* p = arena_.data() + byte_addr;
     const std::byte* end =
-        arena_.data() + std::min<std::uint64_t>(arena_.size(),
-                                                byte_addr + bytes);
+        arena_.data() + std::min<std::uint64_t>(top_, byte_addr + bytes);
     for (; p < end; p += 64) __builtin_prefetch(p, 0, 1);
   }
 
@@ -263,11 +276,12 @@ class DeviceMemory {
   [[nodiscard]] std::int64_t live_bytes() const { return live_bytes_; }
   [[nodiscard]] std::int64_t peak_bytes() const { return peak_bytes_; }
 
-  /// Arena reallocation counter backing stale-view detection.
+  /// Arena growth/reset counter backing stale-view detection.
   [[nodiscard]] std::uint64_t generation() const { return generation_; }
 
-  /// Releases everything and clears peak accounting. Fault-plan progress is
-  /// kept (one-shot faults stay consumed across degradation retries).
+  /// Releases every allocation and clears peak accounting without touching
+  /// the storage, which the next run reuses. Fault-plan progress is kept
+  /// (one-shot faults stay consumed across degradation retries).
   void reset();
 
  private:
@@ -288,7 +302,7 @@ class DeviceMemory {
   void note_host_read(std::uint64_t offset, std::uint64_t bytes) const;
 
   void bounds_check(std::uint64_t byte_addr, std::size_t bytes) const {
-    if (byte_addr + bytes > arena_.size()) {
+    if (byte_addr + bytes > top_) {
       fail_access(byte_addr, bytes, "outside the device arena");
     }
     if (mode_ == MemoryMode::kGuarded) guarded_check(byte_addr, bytes);
@@ -301,8 +315,12 @@ class DeviceMemory {
   [[nodiscard]] const AllocationRecord* find_allocation(
       std::uint64_t addr) const;
 
-  std::vector<std::byte> arena_;
-  std::uint64_t top_ = 0;
+  std::vector<std::byte> arena_;  ///< storage; kept across reset()
+  std::uint64_t size_ = 0;        ///< logical arena size (1 MB doubling)
+  std::uint64_t top_ = 0;         ///< bump pointer: end of the last handout
+  /// Bytes [0, dirty_) may hold data from before the last reset(); bump()
+  /// zeroes its handouts below this mark.
+  std::uint64_t dirty_ = 0;
   std::int64_t live_bytes_ = 0;
   std::int64_t peak_bytes_ = 0;
   std::int64_t capacity_bytes_ = 0;

@@ -31,9 +31,11 @@ class ReferenceLru {
     auto& set = sets_[static_cast<std::size_t>(
         line % static_cast<std::uint64_t>(sets_.size()))];
     ++tick_;
+    ++accesses_;
     auto it = set.find(line);
     if (it != set.end()) {
       it->second = tick_;
+      ++hits_;
       return true;
     }
     if (static_cast<int>(set.size()) == ways_) {
@@ -46,18 +48,33 @@ class ReferenceLru {
     return false;
   }
 
+  [[nodiscard]] bool contains(std::uint64_t byte_addr) const {
+    const std::uint64_t line =
+        byte_addr / static_cast<std::uint64_t>(line_bytes_);
+    return sets_[static_cast<std::size_t>(
+                     line % static_cast<std::uint64_t>(sets_.size()))]
+               .contains(line);
+  }
+  [[nodiscard]] std::int64_t accesses() const { return accesses_; }
+  [[nodiscard]] std::int64_t hits() const { return hits_; }
+
  private:
   int line_bytes_;
   int ways_;
   std::vector<std::map<std::uint64_t, std::uint64_t>> sets_;
   std::uint64_t tick_ = 0;
+  std::int64_t accesses_ = 0;
+  std::int64_t hits_ = 0;
 };
 
-// Differential stress test guarding the flat tag-array rewrite: random
-// address streams (mixes of uniform-random lines, hot working sets, and
-// sequential sweeps) must produce the exact hit/miss sequence of the naive
-// ordered-map reference across power-of-two and non-power-of-two set counts
-// and associativities.
+// Differential stress test guarding the flat tag-array rewrite and the
+// epoch-stamped reset: random address streams (mixes of uniform-random
+// lines, hot working sets, sequential sweeps and the top of the address
+// space) must produce the exact hit/miss sequence, contains() answers and
+// counters of the naive ordered-map reference across power-of-two and
+// non-power-of-two set counts and associativities. At seeded points the
+// model is reset() and compared from then on against a freshly built
+// reference, so a reset cache must behave exactly like a new one.
 TEST(Cache, DifferentialVsReferenceLru) {
   struct Geometry {
     std::int64_t capacity;
@@ -72,6 +89,8 @@ TEST(Cache, DifferentialVsReferenceLru) {
       {768, 128, 6},       // 1 set, fully associative
       {96, 32, 3},         // non-power-of-two line count per set
       {4096, 64, 8},       // 8 sets x 8 ways, 64 B lines
+      {6 << 20, 128, 16},  // the V100 L2: 3072 sets x 16 ways
+      {1024, 1, 4},        // 1-byte lines: the all-ones line is reachable
   };
   std::mt19937_64 rng(0xF00Du);
   for (const auto& g : geoms) {
@@ -79,23 +98,38 @@ TEST(Cache, DifferentialVsReferenceLru) {
     ReferenceLru ref(g.capacity, g.line_bytes, g.ways);
     const std::uint64_t lines =
         static_cast<std::uint64_t>(g.capacity / g.line_bytes);
+    const std::uint64_t top_line =
+        ~std::uint64_t{0} / static_cast<std::uint64_t>(g.line_bytes);
     std::uniform_int_distribution<std::uint64_t> wide(0, 4 * lines);
     std::uniform_int_distribution<std::uint64_t> hot(0, lines / 2 + 1);
     std::uint64_t seq = 0;
+    int resets = 0;
     for (int i = 0; i < 20000; ++i) {
+      if (rng() % 997 == 0) {
+        model.reset();
+        ref = ReferenceLru(g.capacity, g.line_bytes, g.ways);
+        ++resets;
+      }
       std::uint64_t line;
-      switch (i % 4) {
+      switch (i % 5) {
         case 0: line = wide(rng); break;
         case 1: case 2: line = hot(rng); break;
-        default: line = seq++ % (2 * lines); break;
+        case 3: line = seq++ % (2 * lines); break;
+        default: line = top_line - hot(rng); break;
       }
       const std::uint64_t a =
           line * static_cast<std::uint64_t>(g.line_bytes) +
           (rng() % static_cast<std::uint64_t>(g.line_bytes));
+      ASSERT_EQ(model.contains(a), ref.contains(a))
+          << "geometry " << g.capacity << "/" << g.line_bytes << "/"
+          << g.ways << " contains() diverged at access " << i;
       ASSERT_EQ(model.access(a), ref.access(a))
           << "geometry " << g.capacity << "/" << g.line_bytes << "/"
           << g.ways << " diverged at access " << i;
+      ASSERT_EQ(model.accesses(), ref.accesses());
+      ASSERT_EQ(model.hits(), ref.hits());
     }
+    EXPECT_GT(resets, 5);
   }
 }
 

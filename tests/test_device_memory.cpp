@@ -1,10 +1,36 @@
 // Tests for the simulated device-memory arena.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "sim/device_memory.hpp"
 
 namespace tlp::sim {
 namespace {
+
+/// End of the last allocation: the bump top in fast mode.
+std::uint64_t arena_top(const DeviceMemory& mem) {
+  const auto& allocs = mem.allocations();
+  return allocs.empty() ? 0 : allocs.back().offset + allocs.back().bytes;
+}
+
+/// Makes allocations of the given byte sizes (odd sizes leave alignment
+/// padding between them) and overwrites every byte up to the bump top,
+/// padding included, with 0xFF — a run that dirties its whole arena.
+void dirty_run(DeviceMemory& mem, const std::vector<std::int64_t>& sizes) {
+  for (const std::int64_t n : sizes) (void)mem.alloc<std::byte>(n);
+  const std::vector<std::byte> ones(arena_top(mem), std::byte{0xFF});
+  mem.write_block(0, ones.data(), ones.size());
+}
+
+/// Every byte up to the bump top reads zero.
+bool arena_reads_zero(const DeviceMemory& mem) {
+  std::vector<std::byte> bytes(arena_top(mem), std::byte{0x5A});
+  mem.read_block(0, bytes.data(), bytes.size());
+  return std::all_of(bytes.begin(), bytes.end(),
+                     [](std::byte b) { return b == std::byte{0}; });
+}
 
 TEST(DeviceMemory, AllocAligned) {
   DeviceMemory mem;
@@ -59,6 +85,77 @@ TEST(DeviceMemory, ResetClearsEverything) {
   EXPECT_EQ(mem.peak_bytes(), 0);
   const auto p = mem.alloc<float>(1);
   EXPECT_EQ(p.byte_offset, 0u);
+}
+
+// reset() keeps the storage, so an allocation after it may land on bytes an
+// earlier run wrote; it must still read zero, alignment padding included,
+// whether the earlier run was larger (big -> small) or the arena grows back
+// over bytes only an earlier run reached (small -> big).
+TEST(DeviceMemory, AllocationsAfterResetReadZero) {
+  DeviceMemory mem;
+  const std::vector<std::int64_t> big = {3, 1000, (3 << 20) + 5, 17, 4096};
+  const std::vector<std::int64_t> small = {5, 301, 77};
+  dirty_run(mem, big);
+  for (const auto* sizes : {&small, &big}) {
+    mem.reset();
+    for (const std::int64_t n : *sizes) (void)mem.alloc<std::byte>(n);
+    EXPECT_GT(arena_top(mem), 0u);
+    EXPECT_TRUE(arena_reads_zero(mem));
+    dirty_run(mem, {});  // this run dirties its (smaller) arena too
+  }
+}
+
+// Stale-view detection depends on generation(), which must advance at the
+// same alloc() calls on a reused arena — even where its kept storage
+// already fits and nothing moves — as on a fresh one.
+TEST(DeviceMemory, GenerationAdvancesAsOnAFreshArena) {
+  const std::vector<std::int64_t> sizes = {
+      100, 1 << 19, 1 << 19, 5, 1 << 20, 3 << 20, 64, 9 << 20, 1};
+  DeviceMemory reused;
+  dirty_run(reused, {20 << 20});
+  reused.reset();
+  DeviceMemory fresh;
+  for (const std::int64_t n : sizes) {
+    const std::uint64_t r0 = reused.generation(), f0 = fresh.generation();
+    (void)reused.alloc<std::byte>(n);
+    (void)fresh.alloc<std::byte>(n);
+    EXPECT_EQ(reused.generation() - r0, fresh.generation() - f0)
+        << "alloc of " << n << " B";
+  }
+}
+
+// Fast mode bounds accesses by the bump top, not by the storage kept from a
+// larger earlier run.
+TEST(DeviceMemory, FastAccessAtBumpTopThrows) {
+  DeviceMemory mem;
+  dirty_run(mem, {1 << 20});
+  mem.reset();
+  const auto p = mem.alloc<float>(3);
+  EXPECT_NO_THROW((void)mem.read<float>(p.addr(2)));
+  EXPECT_THROW((void)mem.read<float>(p.addr(3)), tlp::InvalidAccess);
+  EXPECT_THROW(mem.write<float>(p.addr(3), 1.0f), tlp::InvalidAccess);
+  float buf[4];
+  EXPECT_THROW(mem.read_block(p.addr(0), buf, 4), tlp::InvalidAccess);
+}
+
+// Guarded mode's poison fill, redzones and use-after-free detection do not
+// depend on what an earlier run left in the kept storage.
+TEST(DeviceMemory, GuardedChecksHoldAfterReset) {
+  DeviceMemory mem(MemoryMode::kGuarded);
+  for (int run = 0; run < 2; ++run) {
+    auto p = mem.alloc<std::uint32_t>(64);
+    auto q = mem.alloc<std::uint32_t>(4);
+    EXPECT_EQ(mem.read<std::uint32_t>(p.addr(63)), 0xCDCDCDCDu);
+    EXPECT_EQ(mem.read<std::uint32_t>(q.addr(0)), 0xCDCDCDCDu);
+    EXPECT_THROW((void)mem.read<std::uint32_t>(p.addr(64)),
+                 tlp::InvalidAccess);  // redzone
+    auto v = mem.view(p);
+    std::fill(v.begin(), v.end(), 0u);
+    const auto addr = p.addr(0);
+    mem.free(p);
+    EXPECT_THROW((void)mem.read<std::uint32_t>(addr), tlp::InvalidAccess);
+    mem.reset();
+  }
 }
 
 TEST(DeviceMemory, LargeAllocationGrows) {

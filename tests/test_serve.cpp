@@ -11,7 +11,9 @@
 #include <string>
 
 #include "common/check.hpp"
+#include "graph/builder.hpp"
 #include "graph/generators.hpp"
+#include "graph/subgraph.hpp"
 #include "serve/server.hpp"
 #include "sim/device.hpp"
 #include "systems/partitioned.hpp"
@@ -126,6 +128,77 @@ TEST(Traffic, EgoSubgraphRespectsCapAndHops) {
   EXPECT_THROW((void)ego_subgraph(w.g, w.g.num_vertices(), 1, 10), CheckError);
   EXPECT_THROW((void)ego_subgraph(w.g, 5, -1, 10), CheckError);
   EXPECT_THROW((void)ego_subgraph(w.g, 5, 1, 0), CheckError);
+}
+
+/// Ego extraction over a |V|-sized visited mask and graph::induced_subgraph:
+/// the reference the O(ego) extraction must reproduce byte for byte.
+graph::LocalGraph reference_ego(const Csr& g, graph::VertexId query, int hops,
+                                std::int64_t max_vertices) {
+  std::vector<bool> keep(static_cast<std::size_t>(g.num_vertices()), false);
+  keep[static_cast<std::size_t>(query)] = true;
+  std::int64_t kept = 1;
+  std::vector<graph::VertexId> frontier{query};
+  for (int h = 0; h < hops && !frontier.empty() && kept < max_vertices; ++h) {
+    std::vector<graph::VertexId> next;
+    for (const graph::VertexId v : frontier) {
+      for (const graph::VertexId u : g.neighbors(v)) {
+        if (kept >= max_vertices) break;
+        if (!keep[static_cast<std::size_t>(u)]) {
+          keep[static_cast<std::size_t>(u)] = true;
+          ++kept;
+          next.push_back(u);
+        }
+      }
+      if (kept >= max_vertices) break;
+    }
+    frontier = std::move(next);
+  }
+  return graph::induced_subgraph(g, keep);
+}
+
+TEST(Traffic, EgoSubgraphMatchesInducedSubgraph) {
+  std::vector<Csr> graphs;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    graphs.push_back(graph::power_law(300, 2400, 2.1, rng));
+  }
+  {
+    // A multigraph with self-loops: duplicate edges must survive relabeling.
+    Rng rng(4);
+    std::vector<graph::Edge> edges;
+    for (int i = 0; i < 600; ++i) {
+      edges.push_back({static_cast<graph::VertexId>(rng.next_below(60)),
+                       static_cast<graph::VertexId>(rng.next_below(60))});
+    }
+    graphs.push_back(graph::build_csr(60, std::move(edges), {.dedup = false}));
+  }
+  for (const Csr& g : graphs) {
+    graph::VertexId hub = 0;
+    for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
+      if (g.degree(v) > g.degree(hub)) hub = v;
+    }
+    // Half the hub's row: its first hop stops partway through the row.
+    const std::int64_t mid_row = g.degree(hub) / 2;
+    ASSERT_GT(mid_row, 1);
+    for (const graph::VertexId q : {graph::VertexId{0}, hub,
+                                    g.num_vertices() - 1}) {
+      for (int hops = 0; hops <= 3; ++hops) {
+        for (const std::int64_t cap :
+             {std::int64_t{1}, std::int64_t{2}, mid_row, std::int64_t{37},
+              std::int64_t{512}}) {
+          const graph::LocalGraph got = ego_subgraph(g, q, hops, cap);
+          const graph::LocalGraph want = reference_ego(g, q, hops, cap);
+          SCOPED_TRACE(testing::Message() << "query " << q << " hops " << hops
+                                          << " cap " << cap);
+          EXPECT_EQ(got.to_global, want.to_global);
+          EXPECT_EQ(got.num_owned, want.num_owned);
+          EXPECT_TRUE(std::ranges::equal(got.csr.indptr(), want.csr.indptr()));
+          EXPECT_TRUE(
+              std::ranges::equal(got.csr.indices(), want.csr.indices()));
+        }
+      }
+    }
+  }
 }
 
 // Regression (ISSUE 10): the seeded permutation must re-derive identically

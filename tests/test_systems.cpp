@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
+#include <sstream>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
@@ -255,6 +257,112 @@ TEST(Partitioned, CountInvarianceBitIdentical) {
       const auto b = part.output.flat();
       EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0)
           << models::model_name(kind) << " k=" << k;
+    }
+  }
+}
+
+// --- device reuse ----------------------------------------------------------
+
+/// Every KernelRecord of the device's profile, the run's Metrics and timing
+/// fields, doubles in hexfloat so equal text means equal bits.
+std::string counters_of(const sim::Device& dev, const RunResult& r) {
+  std::ostringstream os;
+  os << std::hexfloat;
+  for (const sim::KernelRecord& k : dev.profiler().records()) {
+    os << k.name << ' ' << k.warps << ' ' << k.blocks << ' '
+       << k.warps_per_block << ' ' << k.issue_cycles << ' '
+       << k.mem_stall_cycles << ' ' << k.atomic_stall_cycles << ' '
+       << k.requests << ' ' << k.sectors << ' ' << k.bytes_load << ' '
+       << k.bytes_store << ' ' << k.bytes_atomic << ' ' << k.bytes_dram << ' '
+       << k.l1_accesses << ' ' << k.l1_hits << ' ' << k.l2_accesses << ' '
+       << k.l2_hits << ' ' << k.atomic_ops << ' ' << k.elapsed_cycles << ' '
+       << k.resident_warp_integral << ' ' << k.launch_overhead_us << '\n';
+  }
+  const sim::Metrics& m = r.metrics;
+  os << m.kernel_launches << ' ' << m.gpu_time_ms << ' ' << m.bytes_load << ' '
+     << m.bytes_store << ' ' << m.bytes_atomic << ' ' << m.bytes_dram << ' '
+     << m.sectors_per_request << ' ' << m.l1_hit_rate << ' '
+     << m.scoreboard_stall << ' ' << m.sm_utilization << ' '
+     << m.achieved_occupancy << ' ' << m.peak_device_bytes << ' '
+     << m.bytes_cache_hit << ' ' << m.bytes_cache_miss << '\n'
+     << r.gpu_time_ms << ' ' << r.measured_ms << ' ' << r.runtime_ms << ' '
+     << r.kernel_launches << ' ' << r.peak_device_bytes << '\n';
+  return os.str();
+}
+
+/// The arena after a fast-mode run, up to the end of its last allocation:
+/// every buffer's final contents and the alignment padding between them.
+std::vector<std::byte> arena_image(sim::Device& dev) {
+  const auto& allocs = dev.mem().allocations();
+  std::vector<std::byte> bytes(
+      allocs.empty() ? 0 : allocs.back().offset + allocs.back().bytes);
+  dev.mem().read_block(0, bytes.data(), bytes.size());
+  return bytes;
+}
+
+// GnnSystem::run resets the device, and the reset keeps the arena storage
+// and retires cache tags by epoch instead of clearing them (DESIGN.md §10).
+// A device reused for a big run, a small one, then the big one again must
+// give each run the counters, outputs and arena bytes of a fresh device —
+// for the one-kernel TLPGNN paths, DGL's 18-kernel GAT (the largest arena),
+// the partitioned fallback (one reset per part), and both memory modes.
+TEST(DeviceReuse, RunsMatchAFreshDevice) {
+  Rng rng(31);
+  const Csr big = graph::power_law(4000, 30000, 2.2, rng);
+  const Tensor big_h = Tensor::random(big.num_vertices(), 32, rng);
+  const Csr small = graph::power_law(200, 1200, 2.2, rng);
+  const Tensor small_h = Tensor::random(small.num_vertices(), 32, rng);
+  const ConvSpec gcn = ConvSpec::make(ModelKind::kGcn, 32, rng);
+  const ConvSpec gat = ConvSpec::make(ModelKind::kGat, 32, rng);
+  TlpgnnSystem tlpgnn;
+  DglSystem dgl;
+  using Run =
+      std::function<RunResult(sim::Device&, const Csr&, const Tensor&)>;
+  const std::pair<const char*, Run> cases[] = {
+      {"tlpgnn GCN",
+       [&](sim::Device& d, const Csr& g, const Tensor& h) {
+         return tlpgnn.run(d, g, h, gcn);
+       }},
+      {"tlpgnn fused GAT",
+       [&](sim::Device& d, const Csr& g, const Tensor& h) {
+         return tlpgnn.run(d, g, h, gat);
+       }},
+      {"dgl GAT",
+       [&](sim::Device& d, const Csr& g, const Tensor& h) {
+         return dgl.run(d, g, h, gat);
+       }},
+      {"tlpgnn GCN partitioned k=3",
+       [&](sim::Device& d, const Csr& g, const Tensor& h) {
+         return run_partitioned(tlpgnn, d, g, h, gcn, 3);
+       }},
+  };
+  const std::pair<const Csr*, const Tensor*> inputs[] = {
+      {&big, &big_h}, {&small, &small_h}, {&big, &big_h}};
+  for (const sim::MemoryMode mode :
+       {sim::MemoryMode::kFast, sim::MemoryMode::kGuarded}) {
+    const sim::DeviceOptions opts{.mem_mode = mode};
+    for (const auto& [label, run] : cases) {
+      sim::Device reused(sim::GpuSpec::v100(), opts);
+      for (std::size_t i = 0; i < std::size(inputs); ++i) {
+        SCOPED_TRACE(testing::Message()
+                     << label << (mode == sim::MemoryMode::kFast
+                                      ? " fast"
+                                      : " guarded")
+                     << " run " << i);
+        const auto [g, h] = inputs[i];
+        const RunResult got = run(reused, *g, *h);
+        sim::Device fresh(sim::GpuSpec::v100(), opts);
+        const RunResult want = run(fresh, *g, *h);
+        EXPECT_EQ(counters_of(reused, got), counters_of(fresh, want));
+        const auto a = got.output.flat();
+        const auto b = want.output.flat();
+        ASSERT_EQ(a.size(), b.size());
+        EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)),
+                  0);
+        if (mode == sim::MemoryMode::kFast) {
+          EXPECT_TRUE(arena_image(reused) == arena_image(fresh));
+        }
+      }
     }
   }
 }
