@@ -1,7 +1,8 @@
 // google-benchmark micro suite for the simulator substrate itself: the §3
 // mechanisms (coalescing, atomics, launches) at kernel-op granularity, plus
 // host-side substrate throughput (generators, cache model) and the fixed
-// per-run and per-request costs of serving (device reset, ego extraction).
+// per-run and per-request costs of serving (device reset, ego extraction)
+// and of a sweep job (a fresh device's arena).
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -122,6 +123,23 @@ void BM_DeviceResetAll(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DeviceResetAll);
+
+// What every sweep job pays around its kernels: a fresh scaled device whose
+// arena grows through allocations of 0.5, 1, ... 32 MB, each touched once
+// per 4 KB page as a run filling its buffers would, then is destroyed.
+void BM_FreshDeviceArena(benchmark::State& state) {
+  for (auto _ : state) {
+    sim::Device dev(sim::GpuSpec::v100_scaled(20));
+    for (std::int64_t bytes = 512 << 10; bytes <= 32 << 20; bytes *= 2) {
+      const auto p = dev.mem().alloc<std::byte>(bytes);
+      std::byte* d = dev.mem().view(p).data();
+      for (std::int64_t i = 0; i < bytes; i += 4096) d[i] = std::byte{1};
+      benchmark::DoNotOptimize(d);
+    }
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_FreshDeviceArena);
 
 // --- end-to-end kernel simulation throughput ---------------------------------
 

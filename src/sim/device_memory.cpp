@@ -1,6 +1,10 @@
 #include "sim/device_memory.hpp"
 
+#include <sys/mman.h>
+
 #include <cstring>
+#include <limits>
+#include <new>
 #include <sstream>
 
 #include "sim/trace.hpp"
@@ -19,35 +23,89 @@ constexpr std::byte kRedzonePoison{0xA5};  ///< inter-allocation redzones
 /// unit, so the next allocation never abuts the previous payload.
 constexpr std::uint64_t kRedzoneBytes = 256;
 
+/// Allocation alignment (cudaMalloc's), which kMaxArenaBytes is a multiple of.
+constexpr std::uint64_t align_up(std::uint64_t x) {
+  constexpr std::uint64_t kAlign = 256;
+  return (x + kAlign - 1) / kAlign * kAlign;
+}
+
+/// Maps `bytes` of fresh zero pages, or grows the mapping `old` of
+/// `old_bytes` to `bytes` with its contents (the kernel may move it).
+/// Throws std::bad_alloc when the host refuses; `old` then stays valid.
+std::byte* map_storage(std::byte* old, std::uint64_t old_bytes,
+                       std::uint64_t bytes) {
+  void* p = old == nullptr
+                ? mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0)
+                : mremap(old, old_bytes, bytes, MREMAP_MAYMOVE);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  // Huge pages cut the page-fault and page-table cost of large arenas. A
+  // hint only: where transparent huge pages are off it fails harmlessly.
+  (void)madvise(p, bytes, MADV_HUGEPAGE);
+  return static_cast<std::byte*>(p);
+}
+
 }  // namespace
 
+DeviceMemory::~DeviceMemory() {
+  if (arena_ != nullptr) munmap(arena_, mapped_);
+}
+
 std::uint64_t DeviceMemory::bump(std::uint64_t bytes) {
-  constexpr std::uint64_t kAlign = 256;
   const std::uint64_t start = top_;
-  const std::uint64_t offset = (top_ + kAlign - 1) / kAlign * kAlign;
-  top_ = offset + bytes;
-  if (top_ > size_) {
-    // Grow geometrically. The storage moves only when it is smaller than the
-    // new size, but every growth invalidates outstanding views — the
-    // generation bump makes stale use detectable at the same calls either
-    // way.
-    std::uint64_t cap = size_ == 0 ? (1u << 20) : size_;
-    while (cap < top_) cap *= 2;
-    size_ = cap;
-    if (size_ > arena_.size()) arena_.resize(size_);
+  const std::uint64_t offset = align_up(top_);
+  const std::uint64_t top = offset + bytes;  // <= kMaxArenaBytes
+  if (top > size_) {
+    // Grow geometrically. The mapping grows only when it is smaller than the
+    // new size, and may or may not move when it does, but every growth
+    // invalidates outstanding views — the generation bump makes stale use
+    // detectable at the same calls either way.
+    std::uint64_t size = size_ == 0 ? (1u << 20) : size_;
+    while (size < top) size *= 2;
+    if (size > mapped_) {
+      arena_ = map_storage(arena_, mapped_, size);
+      mapped_ = size;
+    }
+    size_ = size;
     ++generation_;
   }
-  // The handout, alignment padding included, must read zero.
+  top_ = top;
+  // The handout, alignment padding included, must read zero. Bytes past
+  // dirty_ do: the mapping's fresh pages were never written.
   if (start < dirty_) {
-    std::memset(arena_.data() + start, 0, std::min(top_, dirty_) - start);
+    std::memset(arena_ + start, 0, std::min(top_, dirty_) - start);
   }
   return offset;
 }
 
-std::uint64_t DeviceMemory::allocate_bytes(std::uint64_t bytes,
+std::uint64_t DeviceMemory::allocate_bytes(std::uint64_t count,
+                                           std::size_t elem_bytes,
                                            const AccessSite* site) {
   ++alloc_seq_;
   const std::int64_t seq = alloc_seq_ - alloc_base_;
+  const bool guarded = mode_ == MemoryMode::kGuarded;
+  // The handout plus its redzone must end at or below kMaxArenaBytes: past
+  // it the byte count, the bump top or the doubling would overflow. Checked
+  // first, so the capacity check below cannot overflow either.
+  std::uint64_t bytes = 0;
+  std::uint64_t span = 0;
+  const bool overflow =
+      __builtin_mul_overflow(count, elem_bytes, &bytes) ||
+      __builtin_add_overflow(bytes, guarded ? kRedzoneBytes : 0, &span);
+  if (overflow || span > kMaxArenaBytes - align_up(top_)) {
+    std::ostringstream os;
+    os << "device out of memory: request of " << count << " x " << elem_bytes
+       << " B does not fit the arena's " << kMaxArenaBytes
+       << " B address space (" << top_ << " B in use)";
+    // The exception's field is signed; an overflowing request saturates it.
+    const auto requested = static_cast<std::int64_t>(std::min<std::uint64_t>(
+        overflow ? ~std::uint64_t{0} : bytes,
+        std::numeric_limits<std::int64_t>::max()));
+    OutOfMemory oom(os.str(), requested, live_bytes_, capacity_bytes_);
+    oom.provenance.seq = seq;
+    oom.provenance.context = fault_context_;
+    throw oom;
+  }
   const bool one_shot = !oom_fault_fired_ && fault_plan_.oom_at_alloc > 0 &&
                         seq == fault_plan_.oom_at_alloc;
   const bool burst = FaultPlan::in_burst(seq, fault_plan_.oom_every,
@@ -82,12 +140,11 @@ std::uint64_t DeviceMemory::allocate_bytes(std::uint64_t bytes,
     throw oom;
   }
 
-  const bool guarded = mode_ == MemoryMode::kGuarded;
-  const std::uint64_t offset = bump(guarded ? bytes + kRedzoneBytes : bytes);
+  const std::uint64_t offset = bump(span);
   if (guarded) {
-    std::memset(arena_.data() + offset, std::to_integer<int>(kUninitPoison),
+    std::memset(arena_ + offset, std::to_integer<int>(kUninitPoison),
                 bytes);
-    std::memset(arena_.data() + offset + bytes,
+    std::memset(arena_ + offset + bytes,
                 std::to_integer<int>(kRedzonePoison), kRedzoneBytes);
   }
   allocs_.push_back({offset, bytes, true});
@@ -119,7 +176,7 @@ void DeviceMemory::release_bytes(std::uint64_t offset, std::uint64_t bytes) {
                               << offset << " (" << bytes << " B)");
   it->live = false;
   if (mode_ == MemoryMode::kGuarded) {
-    std::memset(arena_.data() + offset, std::to_integer<int>(kFreedPoison),
+    std::memset(arena_ + offset, std::to_integer<int>(kFreedPoison),
                 bytes);
   }
   live_bytes_ -= static_cast<std::int64_t>(bytes);

@@ -6,14 +6,17 @@
 // is a bump pointer with live/peak accounting; `peak_bytes()` is the
 // "Global mem usage" metric of Table 3.
 //
-// Storage is kept across reset(): it rewinds the bump pointer without
-// touching the bytes, so a device reused run after run (every
-// GnnSystem::run resets) does not free, re-allocate and zero-fill its arena
-// each time, and the storage stays as large as the largest run so far.
-// Allocations still read zero: bump() clears just the bytes it hands out
-// that an earlier run dirtied (DESIGN.md §10). Every access, in fast mode
-// too, is bounded by the bump top rather than the storage size, since the
-// bytes past the top may hold an earlier run's data.
+// Storage is one anonymous memory mapping (Linux mmap) that the arena owns.
+// Growth extends it with mremap, which moves page tables instead of copying
+// bytes, and fresh anonymous pages read zero without being written, so only
+// the pages a run touches become resident. The mapping is kept across
+// reset(): it rewinds the bump pointer without touching the bytes, so a
+// device reused run after run (every GnnSystem::run resets) does not unmap
+// and re-map its arena each time, and the mapping stays as large as the
+// largest run so far. Allocations still read zero: bump() clears just the
+// bytes it hands out that an earlier run dirtied (DESIGN.md §10). Every
+// access, in fast mode too, is bounded by the bump top rather than the
+// mapping size, since the bytes past the top may hold an earlier run's data.
 //
 // Robustness features (see DESIGN.md "Fault model & memory safety"):
 //  - A capacity limit (from GpuSpec::memory_bytes) makes alloc() throw
@@ -29,11 +32,12 @@
 // View invalidation contract: the arena has a logical size that starts at
 // 1 MB on the first allocation after construction or reset() and doubles
 // until the bump top fits. Every alloc() that grows it, and every reset(),
-// invalidates all previously obtained views — also when the kept storage was
-// already large enough and nothing moved, so which calls invalidate does not
-// depend on what ran before. Views carry the arena generation at creation
-// and re-derive their pointer from the arena on each access, so use of a
-// stale view fails loudly instead of reading moved storage.
+// invalidates all previously obtained views. Growth may or may not move the
+// storage (mremap picks), and the kept mapping may already be large enough,
+// but the generation advances either way, so which calls invalidate does not
+// depend on the host or on what ran before. Views carry the arena generation
+// at creation and re-derive their pointer from the arena on each access, so
+// use of a stale view fails loudly instead of reading moved storage.
 #pragma once
 
 #include <algorithm>
@@ -107,6 +111,9 @@ class DeviceMemory {
  public:
   DeviceMemory() = default;
   explicit DeviceMemory(MemoryMode mode) : mode_(mode) {}
+  ~DeviceMemory();
+  DeviceMemory(const DeviceMemory&) = delete;
+  DeviceMemory& operator=(const DeviceMemory&) = delete;
 
   /// Guarded mode must be selected while the arena is empty (fresh or just
   /// reset): redzone layout cannot be retrofitted onto live allocations.
@@ -158,15 +165,21 @@ class DeviceMemory {
   /// Allocates `count` elements, 256-byte aligned (cudaMalloc alignment).
   /// Invalidates previously obtained views if the arena grows (detected on
   /// stale-view use). Throws tlp::OutOfMemory when the capacity limit or an
-  /// injected allocation fault fires. `site` (from TLP_SITE) labels the
-  /// buffer in the attached trace so lifetime diagnostics can name it.
+  /// injected allocation fault fires, or when the byte count overflows or
+  /// would take the arena past kMaxArenaBytes; std::bad_alloc when the host
+  /// refuses to map the storage. `site` (from TLP_SITE) labels the buffer in
+  /// the attached trace so lifetime diagnostics can name it.
   template <class T>
   DevPtr<T> alloc(std::int64_t count, const AccessSite* site = nullptr) {
     TLP_CHECK_GE(count, 0);
-    const std::uint64_t offset = allocate_bytes(
-        static_cast<std::uint64_t>(count) * sizeof(T), site);
+    const std::uint64_t offset =
+        allocate_bytes(static_cast<std::uint64_t>(count), sizeof(T), site);
     return DevPtr<T>{offset, count};
   }
+
+  /// Largest logical arena size: a power of two the 1 MB doubling reaches,
+  /// small enough that byte counts and live-byte sums fit std::int64_t.
+  static constexpr std::uint64_t kMaxArenaBytes = std::uint64_t{1} << 62;
 
   /// Marks an allocation dead for the live/peak accounting. Storage is not
   /// recycled (bump arena); reset() reclaims everything. In guarded mode the
@@ -207,13 +220,13 @@ class DeviceMemory {
   [[nodiscard]] T read(std::uint64_t byte_addr) const {
     bounds_check(byte_addr, sizeof(T));
     T out;
-    std::memcpy(&out, arena_.data() + byte_addr, sizeof(T));
+    std::memcpy(&out, arena_ + byte_addr, sizeof(T));
     return out;
   }
   template <class T>
   void write(std::uint64_t byte_addr, T value) {
     bounds_check(byte_addr, sizeof(T));
-    std::memcpy(arena_.data() + byte_addr, &value, sizeof(T));
+    std::memcpy(arena_ + byte_addr, &value, sizeof(T));
   }
 
   /// Bulk transfer of `count` consecutive elements with a single range
@@ -223,12 +236,12 @@ class DeviceMemory {
   template <class T>
   void read_block(std::uint64_t byte_addr, T* out, std::size_t count) const {
     bounds_check(byte_addr, count * sizeof(T));
-    std::memcpy(out, arena_.data() + byte_addr, count * sizeof(T));
+    std::memcpy(out, arena_ + byte_addr, count * sizeof(T));
   }
   template <class T>
   void write_block(std::uint64_t byte_addr, const T* in, std::size_t count) {
     bounds_check(byte_addr, count * sizeof(T));
-    std::memcpy(arena_.data() + byte_addr, in, count * sizeof(T));
+    std::memcpy(arena_ + byte_addr, in, count * sizeof(T));
   }
 
   /// Host-side cache-warming hint with no simulation effect whatsoever: no
@@ -241,9 +254,9 @@ class DeviceMemory {
   /// stay in range).
   void host_prefetch(std::uint64_t byte_addr, std::size_t bytes) const {
     if (byte_addr >= top_) return;
-    const std::byte* p = arena_.data() + byte_addr;
+    const std::byte* p = arena_ + byte_addr;
     const std::byte* end =
-        arena_.data() + std::min<std::uint64_t>(top_, byte_addr + bytes);
+        arena_ + std::min<std::uint64_t>(top_, byte_addr + bytes);
     for (; p < end; p += 64) __builtin_prefetch(p, 0, 1);
   }
 
@@ -288,10 +301,11 @@ class DeviceMemory {
   template <class U>
   friend class ArenaView;
 
-  [[nodiscard]] std::byte* arena_ptr() { return arena_.data(); }
-  [[nodiscard]] const std::byte* arena_ptr() const { return arena_.data(); }
+  [[nodiscard]] std::byte* arena_ptr() { return arena_; }
+  [[nodiscard]] const std::byte* arena_ptr() const { return arena_; }
 
-  std::uint64_t allocate_bytes(std::uint64_t bytes, const AccessSite* site);
+  std::uint64_t allocate_bytes(std::uint64_t count, std::size_t elem_bytes,
+                               const AccessSite* site);
   void release_bytes(std::uint64_t offset, std::uint64_t bytes);
   std::uint64_t bump(std::uint64_t bytes);
 
@@ -315,8 +329,9 @@ class DeviceMemory {
   [[nodiscard]] const AllocationRecord* find_allocation(
       std::uint64_t addr) const;
 
-  std::vector<std::byte> arena_;  ///< storage; kept across reset()
-  std::uint64_t size_ = 0;        ///< logical arena size (1 MB doubling)
+  std::byte* arena_ = nullptr;  ///< anonymous mapping; kept across reset()
+  std::uint64_t mapped_ = 0;    ///< bytes mapped at arena_
+  std::uint64_t size_ = 0;      ///< logical arena size (1 MB doubling)
   std::uint64_t top_ = 0;         ///< bump pointer: end of the last handout
   /// Bytes [0, dirty_) may hold data from before the last reset(); bump()
   /// zeroes its handouts below this mark.

@@ -1,7 +1,12 @@
 // Tests for the simulated device-memory arena.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <fstream>
+#include <new>
+#include <utility>
 #include <vector>
 
 #include "sim/device_memory.hpp"
@@ -24,12 +29,34 @@ void dirty_run(DeviceMemory& mem, const std::vector<std::int64_t>& sizes) {
   mem.write_block(0, ones.data(), ones.size());
 }
 
+/// Every byte in [begin, end) reads zero (read 1 MB at a time).
+bool reads_zero(const DeviceMemory& mem, std::uint64_t begin,
+                std::uint64_t end) {
+  std::vector<std::byte> chunk(1 << 20);
+  for (std::uint64_t at = begin; at < end; at += chunk.size()) {
+    const auto n = static_cast<std::ptrdiff_t>(
+        std::min<std::uint64_t>(chunk.size(), end - at));
+    std::fill_n(chunk.begin(), n, std::byte{0x5A});
+    mem.read_block(at, chunk.data(), static_cast<std::size_t>(n));
+    if (std::any_of(chunk.begin(), chunk.begin() + n,
+                    [](std::byte b) { return b != std::byte{0}; })) {
+      return false;
+    }
+  }
+  return true;
+}
+
 /// Every byte up to the bump top reads zero.
 bool arena_reads_zero(const DeviceMemory& mem) {
-  std::vector<std::byte> bytes(arena_top(mem), std::byte{0x5A});
-  mem.read_block(0, bytes.data(), bytes.size());
-  return std::all_of(bytes.begin(), bytes.end(),
-                     [](std::byte b) { return b == std::byte{0}; });
+  return reads_zero(mem, 0, arena_top(mem));
+}
+
+/// This process's resident set in bytes, from /proc/self/statm.
+std::int64_t resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::int64_t pages = 0;
+  statm >> pages >> pages;  // total size, then resident
+  return pages * sysconf(_SC_PAGESIZE);
 }
 
 TEST(DeviceMemory, AllocAligned) {
@@ -158,11 +185,52 @@ TEST(DeviceMemory, GuardedChecksHoldAfterReset) {
   }
 }
 
+// Growth keeps every byte handed out and hands out only zeros. One
+// allocation lands at each logical size 1, 2, 4 ... 64 MB; it must read
+// zero, alignment padding before it included, and then gets its own
+// pattern. After the last doubling every pattern reads back through
+// re-acquired views. After reset(), a run that grows past the old dirty
+// mark reads zero both below the mark and above it.
 TEST(DeviceMemory, LargeAllocationGrows) {
   DeviceMemory mem;
-  const auto p = mem.alloc<float>(1 << 22);  // 16 MB
-  mem.write<float>(p.addr((1 << 22) - 1), 1.0f);
-  EXPECT_FLOAT_EQ(mem.read<float>(p.addr((1 << 22) - 1)), 1.0f);
+  const auto pattern = [](std::int64_t a, std::int64_t j) {
+    return static_cast<std::uint8_t>(j * 131 + a * 29 + 1);
+  };
+  std::vector<DevPtr<std::uint8_t>> ptrs;
+  for (std::int64_t a = 0; a < 7; ++a) {
+    const std::uint64_t start = arena_top(mem);
+    const std::uint64_t gen = mem.generation();
+    // Half of the next logical size plus an odd tail: one doubling each.
+    const std::int64_t n = (std::int64_t{1} << (19 + a)) + 2 * a + 1;
+    ptrs.push_back(mem.alloc<std::uint8_t>(n));
+    EXPECT_EQ(mem.generation(), gen + 1) << "allocation " << a;
+    EXPECT_TRUE(reads_zero(mem, start, arena_top(mem))) << "allocation " << a;
+    std::uint8_t* d = mem.view(ptrs.back()).data();
+    for (std::int64_t j = 0; j < n; ++j) d[j] = pattern(a, j);
+  }
+  for (std::int64_t a = 0; a < 7; ++a) {
+    const DevPtr<std::uint8_t> p = ptrs[static_cast<std::size_t>(a)];
+    const std::uint8_t* d = std::as_const(mem).view(p).data();
+    std::int64_t wrong = 0;
+    for (std::int64_t j = 0; j < p.count; ++j) wrong += d[j] != pattern(a, j);
+    EXPECT_EQ(wrong, 0) << "allocation " << a;
+  }
+  const std::uint64_t dirty = arena_top(mem);
+  mem.reset();
+  (void)mem.alloc<std::byte>(40 << 20);  // below the dirty mark
+  (void)mem.alloc<std::byte>(40 << 20);  // across it, into a larger mapping
+  EXPECT_GT(arena_top(mem), dirty);
+  EXPECT_TRUE(arena_reads_zero(mem));
+}
+
+// Growth touches nothing it does not hand out: a 256 MB arena nobody writes
+// to stays out of the resident set.
+TEST(DeviceMemory, GrowthLeavesUntouchedPagesNonResident) {
+  const std::int64_t before = resident_bytes();
+  ASSERT_GT(before, 0);
+  DeviceMemory mem;
+  (void)mem.alloc<std::byte>(256 << 20);
+  EXPECT_LT(resident_bytes() - before, 16 << 20);
 }
 
 TEST(DevPtr, AddrArithmetic) {
@@ -186,6 +254,52 @@ TEST(DeviceMemory, CapacityLimitThrowsOutOfMemory) {
   // The limit models a recycling allocator: freeing makes room again.
   mem.free(a);
   EXPECT_NO_THROW((void)mem.alloc<float>(256));
+}
+
+// A request whose byte count overflows 64 bits is refused, with or without a
+// capacity, and leaves the arena as it was.
+TEST(DeviceMemory, OverflowingByteCountThrowsOutOfMemory) {
+  for (const std::int64_t capacity : {0L, 32L << 30}) {
+    DeviceMemory mem;
+    mem.set_capacity(capacity);
+    (void)mem.alloc<float>(3);
+    // 2^61 x 8 B = 2^64 B, which wraps to 0.
+    EXPECT_THROW((void)mem.alloc<std::int64_t>(std::int64_t{1} << 61),
+                 tlp::OutOfMemory)
+        << "capacity " << capacity;
+    EXPECT_EQ(mem.live_bytes(), 12);
+    EXPECT_EQ(mem.alloc<float>(1).byte_offset, 256u);
+  }
+}
+
+// A request whose byte count fits 64 bits but whose bump top the 1 MB
+// doubling cannot reach is refused, with or without a capacity, instead of
+// spinning in the doubling loop.
+TEST(DeviceMemory, UnreachableBumpTopThrowsOutOfMemory) {
+  for (const std::int64_t capacity : {0L, 32L << 30}) {
+    DeviceMemory mem;
+    mem.set_capacity(capacity);
+    (void)mem.alloc<float>(3);
+    // 3 x 2^60 x 4 B = 3 x 2^62 B: negative as a signed byte count.
+    EXPECT_THROW((void)mem.alloc<float>(std::int64_t{3} << 60),
+                 tlp::OutOfMemory)
+        << "capacity " << capacity;
+    EXPECT_THROW((void)mem.alloc<std::byte>(
+                     static_cast<std::int64_t>(DeviceMemory::kMaxArenaBytes)),
+                 tlp::OutOfMemory)
+        << "capacity " << capacity;  // 256 B in use: one byte too many
+    EXPECT_EQ(mem.live_bytes(), 12);
+  }
+  // The largest reachable top passes the check, and the host refuses to map
+  // it; the failed growth leaves the arena usable.
+  DeviceMemory mem;
+  EXPECT_THROW((void)mem.alloc<std::byte>(
+                   static_cast<std::int64_t>(DeviceMemory::kMaxArenaBytes)),
+               std::bad_alloc);
+  const auto p = mem.alloc<float>(2);
+  EXPECT_EQ(p.byte_offset, 0u);
+  mem.write<float>(p.addr(1), 2.5f);
+  EXPECT_FLOAT_EQ(mem.read<float>(p.addr(1)), 2.5f);
 }
 
 TEST(DeviceMemory, InjectedOomIsOneShot) {
@@ -250,9 +364,11 @@ TEST(DeviceMemory, StaleViewDetectedAfterArenaGrowth) {
   const auto p = mem.alloc<std::int32_t>(4);
   auto v = mem.view(p);
   v[0] = 7;  // fresh view works
-  (void)mem.alloc<std::byte>(4 << 20);  // forces the arena to grow and move
+  // Growing the arena may leave its storage where it is; the generation
+  // advances regardless, and that is what invalidates the view.
+  (void)mem.alloc<std::byte>(4 << 20);
   EXPECT_THROW((void)v[0], tlp::CheckError);
-  auto fresh = mem.view(p);  // re-acquired views see the data at its new home
+  auto fresh = mem.view(p);  // re-acquired views see the data wherever it is
   EXPECT_EQ(fresh[0], 7);
 }
 

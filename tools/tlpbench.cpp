@@ -17,6 +17,8 @@
 //                                         # committed file is byte-identical
 //
 // Exit codes: 0 ok, 1 shape-assertion failure / drift / IO error, 2 usage.
+#include <sys/resource.h>
+
 #include <chrono>
 #include <cstdio>
 #include <ctime>
@@ -184,10 +186,11 @@ int run_mode(const Args& args) {
       args.get_int_checked("seed", 42, 0));
   merged.git = git_head();
 
-  // Harness wall-clock per bench: simulator-throughput telemetry for the CI
-  // bench-smoke summary. Kept out of the deterministic `results` snapshot
-  // (and thus out of baseline.json and EXPERIMENTS.md) — it lands in a
-  // separate top-level "harness" object of the merged report only.
+  // Harness wall-clock per bench and process resources: simulator-throughput
+  // telemetry for the CI bench-smoke summary. Kept out of the deterministic
+  // `results` snapshot (and thus out of baseline.json and EXPERIMENTS.md) —
+  // it lands in a separate top-level "harness" object of the merged report
+  // only.
   std::vector<std::pair<std::string, double>> wall_ms;
   const auto suite_start = std::chrono::steady_clock::now();
 
@@ -215,12 +218,27 @@ int run_mode(const Args& args) {
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - suite_start)
           .count();
+  // Whole-process host cost: peak resident set, and CPU time split into
+  // user and kernel (system) mode, where page faults and mapping changes
+  // of the device arenas land.
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  const double peak_rss_mb = static_cast<double>(usage.ru_maxrss) / 1024.0;
+  const auto seconds = [](const timeval& t) {
+    return static_cast<double>(t.tv_sec) +
+           static_cast<double>(t.tv_usec) / 1e6;
+  };
+  const double user_s = seconds(usage.ru_utime);
+  const double sys_s = seconds(usage.ru_stime);
 
   const auto print_harness_timing = [&] {
     std::printf("\n=== harness timing (wall clock) ===\n");
     for (const auto& [name, ms] : wall_ms)
       std::printf("  %-8s %9.1f ms\n", name.c_str(), ms);
     std::printf("  total    %9.1f ms\n", total_wall_ms);
+    std::printf("  user     %9.1f s\n", user_s);
+    std::printf("  sys      %9.1f s\n", sys_s);
+    std::printf("  peak rss %9.1f MB\n", peak_rss_mb);
   };
 
   const std::string out_path = args.get("out", default_out_name());
@@ -231,6 +249,9 @@ int run_mode(const Args& args) {
     report::Json harness = report::Json::object();
     harness.set("wall_ms", std::move(per_bench));
     harness.set("total_wall_ms", total_wall_ms);
+    harness.set("peak_rss_mb", peak_rss_mb);
+    harness.set("user_s", user_s);
+    harness.set("sys_s", sys_s);
     out_doc.set("harness", std::move(harness));
   }
   if (!write_file(out_path, out_doc.dump())) {
