@@ -105,6 +105,42 @@ void BM_CacheThrash(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheThrash);
 
+// The serving pattern: every request's convolution starts from reset caches,
+// so its probes are nearly all cold misses. Each iteration resets a
+// full-V100 cache hierarchy and probes 4,096 lines of a 64 MB range, L1
+// first and the L2 on an L1 miss, spread over the 80 SMs.
+void BM_CacheColdAfterReset(benchmark::State& state) {
+  sim::MemorySystem sys(sim::GpuSpec::v100());
+  Rng rng(8);
+  std::vector<std::uint64_t> addrs(4096);
+  for (std::uint64_t& a : addrs) a = rng.next_below(64ull << 20) & ~127ull;
+  const std::size_t sms = sys.l1.size();
+  for (auto _ : state) {
+    sys.reset_caches();
+    std::int64_t hits = 0;
+    for (std::size_t i = 0; i < addrs.size(); ++i) {
+      const bool l1_hit = sys.l1[i % sms].access(addrs[i]);
+      hits += l1_hit || sys.l2.access(addrs[i]);
+    }
+    benchmark::DoNotOptimize(hits);
+  }
+}
+BENCHMARK(BM_CacheColdAfterReset);
+
+// The V100 L2 geometry (3,072 sets x 16 ways) under a random stream over
+// four times its capacity: mostly misses into full sets.
+void BM_CacheL2Miss(benchmark::State& state) {
+  const sim::GpuSpec spec = sim::GpuSpec::v100();
+  sim::SetAssocCache cache(spec.l2_bytes, spec.line_bytes, spec.l2_ways);
+  const auto span = static_cast<std::uint64_t>(4 * spec.l2_bytes);
+  Rng rng(9);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(cache.access(rng.next_below(span) & ~127ull));
+  }
+  state.counters["hit_rate"] = cache.hit_rate();
+}
+BENCHMARK(BM_CacheL2Miss);
+
 // --- fixed per-run cost ---------------------------------------------------------
 
 // What every GnnSystem::run pays before its first kernel: a full-V100

@@ -10,6 +10,8 @@ SetAssocCache::SetAssocCache(std::int64_t capacity_bytes, int line_bytes,
                              int ways)
     : line_bytes_(line_bytes), ways_(ways) {
   TLP_CHECK(capacity_bytes > 0 && line_bytes > 0 && ways > 0);
+  TLP_CHECK_MSG(static_cast<std::uint64_t>(ways) <= kCountMask,
+                "ways must fit the set header's live count");
   const std::int64_t lines = capacity_bytes / line_bytes;
   TLP_CHECK_MSG(lines >= ways && lines % ways == 0,
                 "capacity must hold a whole number of sets");
@@ -19,23 +21,25 @@ SetAssocCache::SetAssocCache(std::int64_t capacity_bytes, int line_bytes,
     line_shift_ = std::countr_zero(ulines);
   const auto usets = static_cast<std::uint64_t>(num_sets_);
   if (std::has_single_bit(usets)) set_mask_ = usets - 1;
-  ways_flat_.assign(static_cast<std::size_t>(num_sets_) * ways_, Way{0, 0});
+  lines_.assign(static_cast<std::size_t>(lines), 0);
+  heads_.assign(static_cast<std::size_t>(num_sets_), epoch_);
 }
 
 bool SetAssocCache::contains(std::uint64_t byte_addr) const {
   const std::uint64_t line = line_of(byte_addr);
-  const std::size_t base = set_of(line) * static_cast<std::size_t>(ways_);
-  for (std::size_t w = base; w < base + static_cast<std::size_t>(ways_); ++w) {
-    if (ways_flat_[w].tag == line && ways_flat_[w].last_use > epoch_)
-      return true;
+  const std::size_t set = set_of(line);
+  const std::uint64_t* const s =
+      &lines_[set * static_cast<std::size_t>(ways_)];
+  const unsigned live = live_count(set);
+  for (unsigned i = 0; i < live; ++i) {
+    if (s[i] == line) return true;
   }
   return false;
 }
 
 void SetAssocCache::reset() {
-  epoch_ = tick_;
-  last_line_ = 0;
-  last_way_ = kNoWay;
+  epoch_ += kCountMask + 1;
+  mru_valid_ = false;
   accesses_ = 0;
   hits_ = 0;
 }

@@ -316,7 +316,9 @@ class DeviceMemory {
   void note_host_read(std::uint64_t offset, std::uint64_t bytes) const;
 
   void bounds_check(std::uint64_t byte_addr, std::size_t bytes) const {
-    if (byte_addr + bytes > top_) {
+    // Written without byte_addr + bytes, which wraps for an address just
+    // below 2^64 (a negative element index) and would pass the bound.
+    if (bytes > top_ || byte_addr > top_ - bytes) {
       fail_access(byte_addr, bytes, "outside the device arena");
     }
     if (mode_ == MemoryMode::kGuarded) guarded_check(byte_addr, bytes);

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "sim/device_memory.hpp"
+#include "sim/warp.hpp"
 
 namespace tlp::sim {
 namespace {
@@ -163,6 +164,31 @@ TEST(DeviceMemory, FastAccessAtBumpTopThrows) {
   EXPECT_THROW(mem.write<float>(p.addr(3), 1.0f), tlp::InvalidAccess);
   float buf[4];
   EXPECT_THROW(mem.read_block(p.addr(0), buf, 4), tlp::InvalidAccess);
+}
+
+// A negative element index puts the byte address just below 2^64, where
+// address + size wraps back into the arena. Fast mode must still reject the
+// access instead of touching host memory before the mapping.
+TEST(DeviceMemory, FastWrappedAddressThrows) {
+  MemorySystem sys(GpuSpec::v100());
+  KernelRecord rec;
+  sys.rec = &rec;
+  const auto p = sys.mem.alloc<float>(64);
+  ASSERT_EQ(p.byte_offset, 0u);  // the first allocation starts the arena
+  DeviceMemory& mem = sys.mem;
+  float buf[32] = {};
+  for (const std::int64_t start : {-1, -8}) {
+    SCOPED_TRACE(start);
+    EXPECT_THROW((void)mem.read<float>(p.addr(start)), tlp::InvalidAccess);
+    EXPECT_THROW(mem.write<float>(p.addr(start), 1.0f), tlp::InvalidAccess);
+    for (const std::size_t n : {std::size_t{1}, std::size_t{32}}) {
+      EXPECT_THROW(mem.read_block(p.addr(start), buf, n), tlp::InvalidAccess);
+      EXPECT_THROW(mem.write_block(p.addr(start), buf, n),
+                   tlp::InvalidAccess);
+    }
+  }
+  WarpCtx warp(sys, 0);
+  EXPECT_THROW((void)warp.load_f32_seq(p, -8, 32), tlp::InvalidAccess);
 }
 
 // Guarded mode's poison fill, redzones and use-after-free detection do not
