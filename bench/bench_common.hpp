@@ -29,7 +29,6 @@
 #include "graph/datasets.hpp"
 #include "models/reference.hpp"
 #include "report/report.hpp"
-#include "sim/timing.hpp"
 #include "systems/system.hpp"
 
 namespace tlp::bench {
@@ -38,12 +37,6 @@ struct BenchConfig {
   graph::ReplicaOptions replica;
   std::int64_t feature_size = 32;
   std::uint64_t seed = 42;
-  /// --timing-tier: "mech" (default) runs only the bit-pinned mechanistic
-  /// tier; "analytical" additionally runs every configuration under the
-  /// closed-form fast tier and records `variant@analytical` twins, which the
-  /// tier-gated ratio_band assertions in bench/baseline.json validate
-  /// (DESIGN.md §13). The mechanistic records are byte-identical either way.
-  sim::TimingTier timing_tier = sim::TimingTier::kMechanistic;
 
   static BenchConfig from_args(const Args& args,
                                std::int64_t default_max_edges,
@@ -54,9 +47,6 @@ struct BenchConfig {
     cfg.replica.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
     cfg.feature_size = args.get_int("feature", default_feature);
     cfg.seed = cfg.replica.seed;
-    const std::string tier = args.get_choice(
-        "timing-tier", "mech", {"mech", "mechanistic", "analytical"});
-    (void)sim::timing_tier_from_name(tier, cfg.timing_tier);
     return cfg;
   }
 };
@@ -111,38 +101,13 @@ inline tensor::Tensor make_features(const graph::Csr& g, std::int64_t f,
 inline systems::RunResult run_system(
     const std::string& system_name, models::ModelKind kind,
     const graph::Csr& g, const tensor::Tensor& feat, std::uint64_t seed,
-    const sim::GpuSpec& gpu = sim::GpuSpec::v100(),
-    sim::TimingTier tier = sim::TimingTier::kMechanistic) {
+    const sim::GpuSpec& gpu = sim::GpuSpec::v100()) {
   Rng rng(seed);
   const models::ConvSpec spec =
       models::ConvSpec::make(kind, feat.cols(), rng);
-  sim::DeviceOptions opts;
-  opts.timing_tier = tier;
-  sim::Device dev(gpu, opts);
+  sim::Device dev(gpu);
   auto sys = systems::make_system(system_name);
   return sys->run(dev, g, feat, spec);
-}
-
-/// Runs one configuration under the mechanistic tier and — when the bench
-/// was invoked with --timing-tier analytical — a second time under the
-/// analytical tier. `record(result, suffix)` is called with suffix "" for
-/// the mechanistic run (always, first, so mechanistic records stay
-/// byte-identical to a mech-only run) and "@analytical" for the fast-tier
-/// twin; benches append the suffix to the record's variant name, which is
-/// what the tier-gated ratio_band assertions in bench/baseline.json match.
-template <class RecordFn>
-void run_tiers(const BenchConfig& cfg, const std::string& system_name,
-               models::ModelKind kind, const graph::Csr& g,
-               const tensor::Tensor& feat, const sim::GpuSpec& gpu,
-               RecordFn&& record) {
-  record(run_system(system_name, kind, g, feat, cfg.seed, gpu,
-                    sim::TimingTier::kMechanistic),
-         "");
-  if (cfg.timing_tier == sim::TimingTier::kAnalytical) {
-    record(run_system(system_name, kind, g, feat, cfg.seed, gpu,
-                      sim::TimingTier::kAnalytical),
-           "@analytical");
-  }
 }
 
 inline void print_header(const std::string& title, const std::string& setup) {
@@ -169,10 +134,6 @@ class Reporter {
     out_->config.set("full", cfg.replica.full);
     out_->config.set("feature", cfg.feature_size);
     out_->config.set("seed", static_cast<std::int64_t>(cfg.seed));
-    // Only recorded when the fast tier ran, so mech-only reports stay
-    // byte-identical to pre-analytical ones.
-    if (cfg.timing_tier == sim::TimingTier::kAnalytical)
-      out_->config.set("timing_tier", "analytical");
   }
 
   /// Starts a record for one measured configuration; chain `.value(...)`.
@@ -232,9 +193,8 @@ struct BenchDef {
 
 /// Flags every bench accepts (kept in sync with the header comment above).
 inline const std::vector<std::string>& common_flags() {
-  static const std::vector<std::string> flags{"max-edges", "full",  "feature",
-                                              "seed",      "json",  "help",
-                                              "timing-tier"};
+  static const std::vector<std::string> flags{"max-edges", "full", "feature",
+                                              "seed",      "json", "help"};
   return flags;
 }
 
@@ -248,22 +208,11 @@ inline std::vector<std::string> split_csv(const std::string& csv) {
   return out;
 }
 
-/// Rejects flags outside the bench's allowed set; returns the offending flag.
-inline std::string first_unknown_flag(const BenchDef& def, const Args& args) {
-  std::vector<std::string> allowed = common_flags();
-  for (const std::string& f : split_csv(def.extra_flags)) allowed.push_back(f);
-  for (const std::string& key : args.named_keys()) {
-    if (std::find(allowed.begin(), allowed.end(), key) == allowed.end())
-      return key;
-  }
-  return "";
-}
-
 inline void print_usage(const BenchDef& def, std::FILE* to) {
   std::fprintf(to, "%s: %s\n", def.name, def.title);
   std::fprintf(to,
                "flags: --max-edges N  --full  --feature F  --seed S  "
-               "--json PATH  --timing-tier {mech,analytical}  --help");
+               "--json PATH  --help");
   for (const std::string& f : split_csv(def.extra_flags))
     std::fprintf(to, "  --%s", f.c_str());
   std::fprintf(to, "\n");
@@ -277,9 +226,10 @@ inline int standalone_main(const BenchDef& def, int argc, char** argv) {
     print_usage(def, stdout);
     return 0;
   }
-  const std::string unknown = first_unknown_flag(def, args);
-  if (!unknown.empty()) {
-    std::fprintf(stderr, "error: unknown flag --%s\n", unknown.c_str());
+  std::vector<std::string> known = common_flags();
+  for (const std::string& f : split_csv(def.extra_flags)) known.push_back(f);
+  if (const auto unknown = args.first_unknown(known)) {
+    std::fprintf(stderr, "error: unknown flag --%s\n", unknown->c_str());
     print_usage(def, stderr);
     return 2;
   }

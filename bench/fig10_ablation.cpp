@@ -19,16 +19,13 @@ namespace {
 
 double run_stage(const graph::Csr& g, const tensor::Tensor& feat,
                  const models::ConvSpec& spec, bool hybrid, bool cache,
-                 bool fusion, const sim::GpuSpec& gpu,
-                 sim::TimingTier tier = sim::TimingTier::kMechanistic) {
+                 bool fusion, const sim::GpuSpec& gpu) {
   systems::TlpgnnOptions opts;
   opts.hybrid_assignment = hybrid;
   opts.register_cache = cache;
   opts.fused_gat = fusion;
   systems::TlpgnnSystem sys(opts);
-  sim::DeviceOptions dopts;
-  dopts.timing_tier = tier;
-  sim::Device dev(gpu, dopts);
+  sim::Device dev(gpu);
   return sys.run(dev, g, feat, spec).measured_ms;
 }
 
@@ -62,14 +59,11 @@ int run(const Args& args, bench::Reporter& rep) {
           models::ConvSpec::make(kind, cfg.feature_size, rng);
 
       const sim::GpuSpec gpu = bench::gpu_for(ds, cfg);
-      const auto run_base = [&](sim::TimingTier tier) {
-        sim::DeviceOptions dopts;
-        dopts.timing_tier = tier;
-        sim::Device dev(gpu, dopts);
+      const double base = [&] {
+        sim::Device dev(gpu);
         return systems::make_system("edge")->run(dev, g, feat, spec)
             .measured_ms;
-      };
-      const double base = run_base(sim::TimingTier::kMechanistic);
+      }();
 
       // Stage 1 (TLP): two-level parallelism only — static assignment, no
       // register caching, unfused GAT.
@@ -91,24 +85,6 @@ int run(const Args& args, bench::Reporter& rep) {
         rep.add(models::model_name(kind), ds.abbr, stage_names[i])
             .value("speedup", speedup);
         cells.push_back(fixed(speedup, 2) + "x");
-      }
-      if (cfg.timing_tier == sim::TimingTier::kAnalytical) {
-        // Fast-tier twins: analytical speedups vs the analytical baseline,
-        // so the cross-tier assertion checks whether the closed-form model
-        // preserves the ablation's shape.
-        const double base_a = run_base(sim::TimingTier::kAnalytical);
-        const bool stage_flags[4][3] = {{false, false, false},
-                                        {true, false, false},
-                                        {true, true, false},
-                                        {true, true, true}};
-        for (std::size_t i = 0; i < stages.size(); ++i) {
-          const double ms =
-              run_stage(g, feat, spec, stage_flags[i][0], stage_flags[i][1],
-                        stage_flags[i][2], gpu, sim::TimingTier::kAnalytical);
-          rep.add(models::model_name(kind), ds.abbr,
-                  stage_names[i] + "@analytical")
-              .value("speedup", base_a / ms);
-        }
       }
       t.add_row(std::move(cells));
     }

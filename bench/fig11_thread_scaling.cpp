@@ -47,33 +47,20 @@ int run(const Args& args, bench::Reporter& rep) {
           models::ConvSpec::make(kind, cfg.feature_size, rng);
 
       std::vector<std::string> cells{ds.abbr};
-      double single = 0.0, single_ana = 0.0;
-      const auto run_blocks = [&](int blocks, sim::TimingTier tier) {
+      double single = 0.0;
+      for (const int blocks : block_counts) {
         systems::TlpgnnOptions opts;
         opts.grid_blocks = blocks;
         systems::TlpgnnSystem sys(opts);
         // Strong scaling runs on the full V100: the question is whether the
         // kernel can occupy more of the real machine.
-        sim::DeviceOptions dopts;
-        dopts.timing_tier = tier;
-        sim::Device dev(sim::GpuSpec::v100(), dopts);
-        return sys.run(dev, g, feat, spec).gpu_time_ms;
-      };
-      for (const int blocks : block_counts) {
-        const double ms = run_blocks(blocks, sim::TimingTier::kMechanistic);
+        sim::Device dev(sim::GpuSpec::v100());
+        const double ms = sys.run(dev, g, feat, spec).gpu_time_ms;
         if (blocks == 1) single = ms;
         rep.add(models::model_name(kind), ds.abbr,
                 "blocks=" + std::to_string(blocks))
             .value("speedup", single / ms)
             .value("gpu_time_ms", ms);
-        if (cfg.timing_tier == sim::TimingTier::kAnalytical) {
-          const double ams = run_blocks(blocks, sim::TimingTier::kAnalytical);
-          if (blocks == 1) single_ana = ams;
-          rep.add(models::model_name(kind), ds.abbr,
-                  "blocks=" + std::to_string(blocks) + "@analytical")
-              .value("speedup", single_ana / ams)
-              .value("gpu_time_ms", ams);
-        }
         cells.push_back(fixed(single / ms, 1) + "x");
       }
       t.add_row(std::move(cells));

@@ -34,32 +34,19 @@ int run(const Args& args, bench::Reporter& rep) {
       if (!ds.big4) continue;
       const graph::Csr& g = graphs.get(ds.abbr);
       std::vector<std::string> cells{ds.abbr};
-      double base = 0.0, base_ana = 0.0;
+      double base = 0.0;
       for (const auto f : sizes) {
         const tensor::Tensor feat = bench::make_features(g, f, cfg.seed);
         Rng rng(cfg.seed);
         const models::ConvSpec spec = models::ConvSpec::make(kind, f, rng);
-        const auto run_f = [&](sim::TimingTier tier) {
-          sim::DeviceOptions dopts;
-          dopts.timing_tier = tier;
-          sim::Device dev(bench::gpu_for(ds, cfg), dopts);
-          return systems::make_system("tlpgnn")
-              ->run(dev, g, feat, spec)
-              .gpu_time_ms;
-        };
-        const double ms = run_f(sim::TimingTier::kMechanistic);
+        sim::Device dev(bench::gpu_for(ds, cfg));
+        const double ms = systems::make_system("tlpgnn")
+                              ->run(dev, g, feat, spec)
+                              .gpu_time_ms;
         if (f == 16) base = ms;
         rep.add(models::model_name(kind), ds.abbr, "f=" + std::to_string(f))
             .value("normalized_runtime", ms / base)
             .value("gpu_time_ms", ms);
-        if (cfg.timing_tier == sim::TimingTier::kAnalytical) {
-          const double ams = run_f(sim::TimingTier::kAnalytical);
-          if (f == 16) base_ana = ams;
-          rep.add(models::model_name(kind), ds.abbr,
-                  "f=" + std::to_string(f) + "@analytical")
-              .value("normalized_runtime", ams / base_ana)
-              .value("gpu_time_ms", ams);
-        }
         cells.push_back(fixed(ms / base, 1) + "x");
       }
       t.add_row(std::move(cells));

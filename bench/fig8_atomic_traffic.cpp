@@ -30,22 +30,19 @@ int run(const Args& args, bench::Reporter& rep) {
     const tensor::Tensor feat =
         bench::make_features(g, cfg.feature_size, cfg.seed);
     const sim::GpuSpec gpu = bench::gpu_for(ds, cfg);
-    systems::RunResult gcn, gin, tlp;
-    const auto record = [&](systems::RunResult* keep,
-                            const std::string& variant) {
-      return [&, keep, variant](const systems::RunResult& r,
-                                const std::string& suffix) {
-        if (suffix.empty()) *keep = r;
-        rep.add("", ds.abbr, variant + suffix)
-            .value("bytes_atomic", r.metrics.bytes_atomic);
-      };
+    const auto run = [&](const std::string& system, ModelKind kind,
+                         const std::string& variant) {
+      systems::RunResult r =
+          bench::run_system(system, kind, g, feat, cfg.seed, gpu);
+      rep.add("", ds.abbr, variant)
+          .value("bytes_atomic", r.metrics.bytes_atomic);
+      return r;
     };
-    bench::run_tiers(cfg, "gnnadvisor", ModelKind::kGcn, g, feat, gpu,
-                     record(&gcn, "gnnadvisor-gcn"));
-    bench::run_tiers(cfg, "gnnadvisor", ModelKind::kGin, g, feat, gpu,
-                     record(&gin, "gnnadvisor-gin"));
-    bench::run_tiers(cfg, "tlpgnn", ModelKind::kGcn, g, feat, gpu,
-                     record(&tlp, "tlpgnn"));
+    const systems::RunResult gcn =
+        run("gnnadvisor", ModelKind::kGcn, "gnnadvisor-gcn");
+    const systems::RunResult gin =
+        run("gnnadvisor", ModelKind::kGin, "gnnadvisor-gin");
+    const systems::RunResult tlp = run("tlpgnn", ModelKind::kGcn, "tlpgnn");
     t.add_row({ds.abbr, human_bytes(gcn.metrics.bytes_atomic),
                human_bytes(gin.metrics.bytes_atomic),
                human_bytes(tlp.metrics.bytes_atomic)});

@@ -30,24 +30,15 @@ int run(const Args& args, bench::Reporter& rep) {
     const tensor::Tensor feat =
         bench::make_features(g, cfg.feature_size, cfg.seed);
     const sim::GpuSpec gpu = bench::gpu_for(ds, cfg);
-    bench::run_tiers(cfg, "featgraph", ModelKind::kGcn, g, feat, gpu,
-                     [&](const systems::RunResult& r,
-                         const std::string& suffix) {
-                       if (suffix.empty())
-                         fg_all.push_back(r.metrics.achieved_occupancy);
-                       rep.add("", ds.abbr, "featgraph" + suffix)
-                           .value("achieved_occupancy",
-                                  r.metrics.achieved_occupancy);
-                     });
-    bench::run_tiers(cfg, "tlpgnn", ModelKind::kGcn, g, feat, gpu,
-                     [&](const systems::RunResult& r,
-                         const std::string& suffix) {
-                       if (suffix.empty())
-                         tlp_all.push_back(r.metrics.achieved_occupancy);
-                       rep.add("", ds.abbr, "tlpgnn" + suffix)
-                           .value("achieved_occupancy",
-                                  r.metrics.achieved_occupancy);
-                     });
+    const auto occupancy = [&](const std::string& system) {
+      const double occ =
+          bench::run_system(system, ModelKind::kGcn, g, feat, cfg.seed, gpu)
+              .metrics.achieved_occupancy;
+      rep.add("", ds.abbr, system).value("achieved_occupancy", occ);
+      return occ;
+    };
+    fg_all.push_back(occupancy("featgraph"));
+    tlp_all.push_back(occupancy("tlpgnn"));
     t.add_row({ds.abbr, pct(fg_all.back()), pct(tlp_all.back())});
   }
   rep.add("summary", "", "featgraph")

@@ -33,12 +33,9 @@ int run(const Args& args, bench::Reporter& rep) {
   std::vector<systems::RunResult> results;
   const sim::GpuSpec gpu = bench::gpu_for(spec, cfg);
   for (const auto& name : sysnames) {
-    bench::run_tiers(cfg, name, models::ModelKind::kGcn, g, feat, gpu,
-                     [&](const systems::RunResult& r,
-                         const std::string& suffix) {
-                       if (suffix.empty()) results.push_back(r);
-                       rep.add_run("", spec.abbr, name + suffix, r);
-                     });
+    results.push_back(bench::run_system(name, models::ModelKind::kGcn, g,
+                                        feat, cfg.seed, gpu));
+    rep.add_run("", spec.abbr, name, results.back());
   }
 
   auto row = [&](const std::string& label, auto getter) {

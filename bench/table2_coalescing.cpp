@@ -21,11 +21,8 @@ struct LpvResult {
 };
 
 LpvResult run_lpv(const graph::Csr& g, const tensor::Tensor& feat, int lpv,
-                  const sim::GpuSpec& gpu,
-                  sim::TimingTier tier = sim::TimingTier::kMechanistic) {
-  sim::DeviceOptions dopts;
-  dopts.timing_tier = tier;
-  sim::Device dev(gpu, dopts);
+                  const sim::GpuSpec& gpu) {
+  sim::Device dev(gpu);
   const kernels::DeviceGraph dg = kernels::upload_graph(dev, g);
   const auto dfeat = kernels::upload_features(dev, feat);
   auto dout = dev.alloc_zeroed<float>(dg.n * feat.cols());
@@ -61,16 +58,9 @@ int run(const Args& args, bench::Reporter& rep) {
       "replica " + g.summary());
 
   const sim::GpuSpec gpu = bench::gpu_for(spec, cfg);
-  // Mechanistic run + record (always); analytical twin record when the
-  // fast tier is selected (mirrors bench::run_tiers for this kernel-level
-  // bench that drives the Device directly).
   const auto measure = [&](int lpv, const std::string& variant) {
     const LpvResult m = run_lpv(g, feat, lpv, gpu);
     record_lpv(rep, variant, m);
-    if (cfg.timing_tier == sim::TimingTier::kAnalytical) {
-      record_lpv(rep, variant + "@analytical",
-                 run_lpv(g, feat, lpv, gpu, sim::TimingTier::kAnalytical));
-    }
     return m;
   };
   const LpvResult one = measure(1, "one-thread");

@@ -32,38 +32,20 @@ int run(const Args& args, bench::Reporter& rep) {
       "replica " + g.summary());
 
   std::vector<systems::RunResult> results;
-  const auto device_for = [&](sim::TimingTier tier) {
-    sim::DeviceOptions dopts;
-    dopts.timing_tier = tier;
-    return sim::Device(gpu, dopts);
-  };
-  // Mechanistic run + record (always, first); analytical twin record when
-  // the fast tier is selected.
-  const auto record_tiers = [&](const std::string& variant, auto&& runner) {
-    results.push_back(runner(sim::TimingTier::kMechanistic));
+  const auto record = [&](const std::string& variant,
+                          systems::GnnSystem& system) {
+    sim::Device dev(gpu);
+    results.push_back(system.run(dev, g, feat, spec));
     rep.add_run("", ds.abbr, variant, results.back());
-    if (cfg.timing_tier == sim::TimingTier::kAnalytical) {
-      rep.add_run("", ds.abbr, variant + "@analytical",
-                  runner(sim::TimingTier::kAnalytical));
-    }
   };
-  record_tiers("dgl", [&](sim::TimingTier tier) {
-    sim::Device dev = device_for(tier);
-    return systems::make_system("dgl")->run(dev, g, feat, spec);
-  });
-  record_tiers("three-kernel", [&](sim::TimingTier tier) {
-    // Three-kernel implementation: TLPGNN's parallelism without fusion.
-    systems::TlpgnnOptions opts;
-    opts.fused_gat = false;
-    opts.overhead.framework_ms_per_kernel = 1.2;  // framework-driven dispatch
-    systems::TlpgnnSystem three(opts);
-    sim::Device dev = device_for(tier);
-    return three.run(dev, g, feat, spec);
-  });
-  record_tiers("one-kernel", [&](sim::TimingTier tier) {
-    sim::Device dev = device_for(tier);
-    return systems::make_system("tlpgnn")->run(dev, g, feat, spec);
-  });
+  record("dgl", *systems::make_system("dgl"));
+  // Three-kernel implementation: TLPGNN's parallelism without fusion.
+  systems::TlpgnnOptions three_kernel;
+  three_kernel.fused_gat = false;
+  three_kernel.overhead.framework_ms_per_kernel = 1.2;  // framework dispatch
+  systems::TlpgnnSystem three(three_kernel);
+  record("three-kernel", three);
+  record("one-kernel", *systems::make_system("tlpgnn"));
 
   TextTable t({"Metrics", "DGL", "Three-Kernel", "One-Kernel"});
   auto row = [&](const std::string& label, auto getter) {

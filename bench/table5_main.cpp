@@ -47,15 +47,10 @@ int run(const Args& args, bench::Reporter& rep) {
       const models::ConvSpec spec =
           models::ConvSpec::make(kind, cfg.feature_size, rng);
 
-      auto time_of = [&](const std::string& name, sim::TimingTier tier =
-                                                      sim::TimingTier::
-                                                          kMechanistic)
-          -> std::optional<double> {
+      auto time_of = [&](const std::string& name) -> std::optional<double> {
         auto sys = systems::make_system(name);
         if (!sys->supports(kind, ds.big4)) return std::nullopt;
-        sim::DeviceOptions dopts;
-        dopts.timing_tier = tier;
-        sim::Device dev(bench::gpu_for(ds, cfg), dopts);
+        sim::Device dev(bench::gpu_for(ds, cfg));
         return sys->run(dev, g, feat, spec).measured_ms;
       };
 
@@ -64,23 +59,11 @@ int run(const Args& args, bench::Reporter& rep) {
       const double tlpgnn_ms = *time_of("tlpgnn");
 
       const std::string section = models::model_name(kind);
-      // Mechanistic records first (byte-identical to a mech-only run), then
-      // the analytical twins when the fast tier is selected.
       for (const auto& name : baselines) {
         if (times[name])
           rep.add(section, ds.abbr, name).value("measured_ms", *times[name]);
       }
       rep.add(section, ds.abbr, "tlpgnn").value("measured_ms", tlpgnn_ms);
-      if (cfg.timing_tier == sim::TimingTier::kAnalytical) {
-        for (const auto& name : baselines) {
-          if (const auto ms = time_of(name, sim::TimingTier::kAnalytical))
-            rep.add(section, ds.abbr, name + "@analytical")
-                .value("measured_ms", *ms);
-        }
-        rep.add(section, ds.abbr, "tlpgnn@analytical")
-            .value("measured_ms",
-                   *time_of("tlpgnn", sim::TimingTier::kAnalytical));
-      }
 
       std::optional<double> best;
       for (const auto& name : baselines) {

@@ -1,5 +1,6 @@
 #include "common/cli.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdlib>
 
@@ -28,11 +29,12 @@ Args::Args(int argc, const char* const* argv) {
 
 bool Args::has(const std::string& name) const { return named_.count(name) > 0; }
 
-std::vector<std::string> Args::named_keys() const {
-  std::vector<std::string> keys;
-  keys.reserve(named_.size());
-  for (const auto& [k, v] : named_) keys.push_back(k);
-  return keys;  // std::map iteration is already sorted
+std::optional<std::string> Args::first_unknown(
+    const std::vector<std::string>& known) const {
+  for (const auto& [key, value] : named_) {  // std::map: sorted by name
+    if (std::find(known.begin(), known.end(), key) == known.end()) return key;
+  }
+  return std::nullopt;
 }
 
 std::string Args::get(const std::string& name, const std::string& def) const {

@@ -9,6 +9,7 @@
 #include <initializer_list>
 #include <limits>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -52,7 +53,7 @@ class Args {
       double lo = -std::numeric_limits<double>::infinity(),
       double hi = std::numeric_limits<double>::infinity()) const;
 
-  /// Checked getter for enum-valued flags (--timing-tier, --cache-policy):
+  /// Checked getter for enum-valued flags (--cache-policy, --format):
   /// returns the flag's value (or `def` when the flag is absent) only when
   /// it is one of `valid`; anything else throws tlp::UsageError with a
   /// diagnostic naming the flag, the offending value, and the full valid
@@ -66,9 +67,11 @@ class Args {
     return positional_;
   }
 
-  /// Names of all --flags that were passed, sorted. Lets binaries reject
-  /// unknown flags instead of silently ignoring typos.
-  [[nodiscard]] std::vector<std::string> named_keys() const;
+  /// The first passed --flag (in sorted order) that is not in `known`, or
+  /// nullopt when every flag is known. Lets binaries reject typos with a
+  /// usage error instead of silently ignoring them.
+  [[nodiscard]] std::optional<std::string> first_unknown(
+      const std::vector<std::string>& known) const;
 
  private:
   std::map<std::string, std::string> named_;

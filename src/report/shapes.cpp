@@ -1,6 +1,5 @@
 #include "report/shapes.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <set>
 #include <utility>
@@ -83,7 +82,6 @@ ShapeAssertion ShapeAssertion::from_json(const Json& j) {
     for (const Json& v : s->items()) a.series.push_back(v.as_string());
   }
   a.note = j.string_or("note", "");
-  a.tier = j.string_or("tier", "");
   return a;
 }
 
@@ -91,26 +89,6 @@ std::vector<ShapeAssertion> assertions_from_json(const Json& baseline) {
   std::vector<ShapeAssertion> out;
   for (const Json& j : baseline.at("assertions").items()) {
     out.push_back(ShapeAssertion::from_json(j));
-  }
-  return out;
-}
-
-std::vector<ShapeAssertion> applicable_assertions(
-    const std::vector<ShapeAssertion>& assertions, const Report& report) {
-  const auto bench_has_analytical = [&](const std::string& bench) {
-    const BenchResult* b = report.find_bench(bench);
-    if (b == nullptr) return false;
-    return std::any_of(b->records.begin(), b->records.end(),
-                       [](const Record& r) {
-                         return r.variant.find("@analytical") !=
-                                std::string::npos;
-                       });
-  };
-  std::vector<ShapeAssertion> out;
-  out.reserve(assertions.size());
-  for (const ShapeAssertion& a : assertions) {
-    if (a.tier == "analytical" && !bench_has_analytical(a.bench)) continue;
-    out.push_back(a);
   }
   return out;
 }

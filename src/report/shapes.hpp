@@ -45,13 +45,6 @@ struct ShapeAssertion {
   double lo = 0, hi = 0, tol = 0;
   std::vector<std::string> series;   ///< variant order (increasing/decreasing)
   std::string note;                  ///< the paper claim this encodes
-  /// Optional timing-tier gate. "" (default) = always evaluated. "analytical"
-  /// marks cross-tier validation assertions referencing `<variant>@analytical`
-  /// twin records; they are evaluated only when the report actually contains
-  /// such records for the bench (i.e. the suite ran with
-  /// `--timing-tier analytical`), so mech-only runs skip rather than fail
-  /// them — see applicable_assertions().
-  std::string tier;
 
   static ShapeAssertion from_json(const Json& j);
 };
@@ -66,14 +59,6 @@ struct ShapeOutcome {
 
 /// Parses the "assertions" array of a baseline document.
 std::vector<ShapeAssertion> assertions_from_json(const Json& baseline);
-
-/// Drops assertions whose tier gate is closed for this report: a
-/// tier=="analytical" assertion is kept only when the named bench has at
-/// least one record whose variant carries the "@analytical" suffix. All
-/// other assertions pass through unchanged (a missing bench still fails
-/// loudly in evaluate(), signalling schema drift).
-std::vector<ShapeAssertion> applicable_assertions(
-    const std::vector<ShapeAssertion>& assertions, const Report& report);
 
 /// Evaluates one assertion against a report. Unknown kinds, empty
 /// expansions, and missing metrics all fail (they signal schema drift).

@@ -28,11 +28,6 @@ namespace tlp::sim {
 struct DeviceOptions {
   MemoryMode mem_mode = MemoryMode::kFast;
   FaultPlan faults{};
-  /// Which timing backend prices the access streams of launched kernels:
-  /// the per-access mechanistic model (default, the bit-pinned reference)
-  /// or the closed-form analytical fast tier (sim/timing.hpp, DESIGN.md
-  /// §13). Functional results are identical under both.
-  TimingTier timing_tier = TimingTier::kMechanistic;
 };
 
 class Device {
@@ -43,10 +38,7 @@ class Device {
     sys_.mem.set_mode(opts.mem_mode);
     sys_.mem.set_capacity(spec.memory_bytes);
     sys_.mem.set_fault_plan(opts.faults);
-    sys_.tier = opts.timing_tier;
   }
-
-  [[nodiscard]] TimingTier timing_tier() const { return sys_.tier; }
 
   [[nodiscard]] const GpuSpec& spec() const { return sys_.spec; }
   [[nodiscard]] const DeviceOptions& options() const { return opts_; }

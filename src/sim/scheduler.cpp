@@ -77,19 +77,8 @@ double throughput_floor(const GpuSpec& spec, const KernelRecord& rec) {
   return std::max({issue_floor, l2_floor, dram_floor, atomic_floor});
 }
 
-void finalize_timing(MemorySystem& sys, KernelRecord& rec, double makespan,
+void finalize_timing(const GpuSpec& spec, KernelRecord& rec, double makespan,
                      double resident_integral) {
-  const GpuSpec& spec = sys.spec;
-  if (sys.tier == TimingTier::kAnalytical) {
-    // The analytical backend derives cache hit fractions and traffic from
-    // its per-region accumulators now that the whole access stream is known,
-    // then rescales the slot-schedule makespan by the corrected-to-
-    // provisional cycle ratio. Must run before the throughput floors, which
-    // read the traffic counters it fills (bytes_load/bytes_dram).
-    const double scale = sys.analytical.finalize(spec, sys.model_caches, rec);
-    makespan *= scale;
-    resident_integral *= scale;
-  }
   const double floor = throughput_floor(spec, rec);
   const double elapsed = std::max(makespan, floor);
   rec.elapsed_cycles = elapsed;
@@ -140,7 +129,7 @@ void run_hardware_dynamic(MemorySystem& sys, WarpKernel& kernel,
       spec.num_sms * resident_blocks_per_sm(spec, wpb);
   const double makespan = slot_makespan(durations, slots,
                                         spec.block_dispatch_cycles, nullptr);
-  finalize_timing(sys, rec, makespan, resident_integral);
+  finalize_timing(spec, rec, makespan, resident_integral);
 }
 
 void run_static_chunk(MemorySystem& sys, WarpKernel& kernel,
@@ -189,7 +178,7 @@ void run_static_chunk(MemorySystem& sys, WarpKernel& kernel,
   const int slots = spec.num_sms * resident_blocks_per_sm(spec, wpb);
   const double makespan = slot_makespan(durations, slots,
                                         spec.block_dispatch_cycles, nullptr);
-  finalize_timing(sys, rec, makespan, resident_integral);
+  finalize_timing(spec, rec, makespan, resident_integral);
 }
 
 void run_software_pool(MemorySystem& sys, WarpKernel& kernel,
@@ -277,7 +266,7 @@ void run_software_pool(MemorySystem& sys, WarpKernel& kernel,
   const double dispatch =
       static_cast<double>(rec.blocks) * spec.block_dispatch_cycles /
       std::max(1, spec.num_sms);
-  finalize_timing(sys, rec, makespan + dispatch, resident_integral);
+  finalize_timing(spec, rec, makespan + dispatch, resident_integral);
 }
 
 }  // namespace
@@ -293,7 +282,6 @@ struct KernelScope {
     sys.rec = &rec;
     sys.mem.begin_kernel(rec.name);
     if (sys.trace != nullptr) sys.trace->begin_kernel(rec.name);
-    if (sys.tier == TimingTier::kAnalytical) sys.analytical.begin_kernel();
   }
   ~KernelScope() {
     sys.mem.end_kernel();

@@ -51,10 +51,6 @@ void WarpCtx::record_trace(const std::array<std::uint64_t, kWarpSize>& addr,
 void WarpCtx::request_one_line(std::uint64_t line0, std::uint32_t smask,
                                Op op) {
   auto& sys = *sys_;
-  if (sys.tier != TimingTier::kMechanistic) [[unlikely]] {
-    analytical_one_line(line0, smask, op);
-    return;
-  }
   KernelRecord& rec = *sys.rec;
   const GpuSpec& spec = sys.spec;
   rec.requests += 1;
@@ -63,28 +59,24 @@ void WarpCtx::request_one_line(std::uint64_t line0, std::uint32_t smask,
   rec.sectors += nsec;
   const std::int64_t bytes = nsec * static_cast<std::int64_t>(spec.sector_bytes);
   const std::uint64_t probe_addr = line0 << 7;
-  bool l1_hit = false, l2_hit = false;
+  bool l2_hit = false;
   if (op == Op::kAtomic) {
-    if (sys.model_caches) {
-      rec.l2_accesses++;
-      l2_hit = sys.l2.access(probe_addr);
-      if (l2_hit) rec.l2_hits++;
-    }
+    rec.l2_accesses++;
+    l2_hit = sys.l2.access(probe_addr);
+    if (l2_hit) rec.l2_hits++;
     rec.bytes_atomic += bytes;
     if (!l2_hit) rec.bytes_dram += bytes;
     mem_ += spec.atomic_latency;
     return;
   }
-  if (sys.model_caches) {
-    rec.l1_accesses++;
-    l1_hit = sys.l1[static_cast<std::size_t>(sm_)].access(probe_addr);
-    if (l1_hit) {
-      rec.l1_hits++;
-    } else {
-      rec.l2_accesses++;
-      l2_hit = sys.l2.access(probe_addr);
-      if (l2_hit) rec.l2_hits++;
-    }
+  rec.l1_accesses++;
+  const bool l1_hit = sys.l1[static_cast<std::size_t>(sm_)].access(probe_addr);
+  if (l1_hit) {
+    rec.l1_hits++;
+  } else {
+    rec.l2_accesses++;
+    l2_hit = sys.l2.access(probe_addr);
+    if (l2_hit) rec.l2_hits++;
   }
   if (op == Op::kLoad) {
     if (!l1_hit) rec.bytes_load += bytes;
@@ -179,10 +171,6 @@ void WarpCtx::request_general(const std::array<std::uint64_t, kWarpSize>& addr,
 
 void WarpCtx::request_lines(const SectorLine* lines, int nlines, Op op) {
   auto& sys = *sys_;
-  if (sys.tier != TimingTier::kMechanistic) [[unlikely]] {
-    analytical_lines(lines, nlines, op);
-    return;
-  }
   KernelRecord& rec = *sys.rec;
   const GpuSpec& spec = sys.spec;
   rec.requests += 1;
@@ -198,12 +186,9 @@ void WarpCtx::request_lines(const SectorLine* lines, int nlines, Op op) {
       const auto& e = lines[static_cast<std::size_t>(i)];
       const int nsec = std::popcount(e.sectors);
       total_sectors += nsec;
-      bool l2_hit = false;
-      if (sys.model_caches) {
-        rec.l2_accesses++;
-        l2_hit = sys.l2.access(e.line << 7);
-        if (l2_hit) rec.l2_hits++;
-      }
+      rec.l2_accesses++;
+      const bool l2_hit = sys.l2.access(e.line << 7);
+      if (l2_hit) rec.l2_hits++;
       miss_l1_sectors += nsec;
       if (!l2_hit) miss_l2_sectors += nsec;
     }
@@ -214,17 +199,15 @@ void WarpCtx::request_lines(const SectorLine* lines, int nlines, Op op) {
       const auto& e = lines[static_cast<std::size_t>(i)];
       const int nsec = std::popcount(e.sectors);
       total_sectors += nsec;
-      bool l1_hit = false, l2_hit = false;
-      if (sys.model_caches) {
-        rec.l1_accesses++;
-        l1_hit = l1.access(e.line << 7);
-        if (l1_hit) {
-          rec.l1_hits++;
-        } else {
-          rec.l2_accesses++;
-          l2_hit = sys.l2.access(e.line << 7);
-          if (l2_hit) rec.l2_hits++;
-        }
+      rec.l1_accesses++;
+      const bool l1_hit = l1.access(e.line << 7);
+      bool l2_hit = false;
+      if (l1_hit) {
+        rec.l1_hits++;
+      } else {
+        rec.l2_accesses++;
+        l2_hit = sys.l2.access(e.line << 7);
+        if (l2_hit) rec.l2_hits++;
       }
       if (!l1_hit) miss_l1_sectors += nsec;
       if (!l1_hit && !l2_hit) miss_l2_sectors += nsec;
@@ -291,12 +274,6 @@ void WarpCtx::request_scalar(std::uint64_t a, int bytes_per_lane, Op op) {
   }
   ++slot_;
 
-  if (sys.tier != TimingTier::kMechanistic) [[unlikely]] {
-    // One sector in one line — the one-line twin with a single-bit mask.
-    analytical_one_line(a >> 7, 0x1u, op);
-    return;
-  }
-
   // One active lane: exactly one 128 B line with one 32 B sector.
   rec.requests += 1;
   issue_ += 1;
@@ -306,28 +283,24 @@ void WarpCtx::request_scalar(std::uint64_t a, int bytes_per_lane, Op op) {
       static_cast<std::int64_t>(spec.sector_bytes);
   rec.sectors += 1;
 
-  bool l1_hit = false, l2_hit = false;
+  bool l2_hit = false;
   if (op == Op::kAtomic) {
-    if (sys.model_caches) {
-      rec.l2_accesses++;
-      l2_hit = sys.l2.access(probe_addr);
-      if (l2_hit) rec.l2_hits++;
-    }
+    rec.l2_accesses++;
+    l2_hit = sys.l2.access(probe_addr);
+    if (l2_hit) rec.l2_hits++;
     rec.bytes_atomic += sector_bytes;
     if (!l2_hit) rec.bytes_dram += sector_bytes;
     mem_ += spec.atomic_latency;
     return;
   }
-  if (sys.model_caches) {
-    rec.l1_accesses++;
-    l1_hit = sys.l1[static_cast<std::size_t>(sm_)].access(probe_addr);
-    if (l1_hit) {
-      rec.l1_hits++;
-    } else {
-      rec.l2_accesses++;
-      l2_hit = sys.l2.access(probe_addr);
-      if (l2_hit) rec.l2_hits++;
-    }
+  rec.l1_accesses++;
+  const bool l1_hit = sys.l1[static_cast<std::size_t>(sm_)].access(probe_addr);
+  if (l1_hit) {
+    rec.l1_hits++;
+  } else {
+    rec.l2_accesses++;
+    l2_hit = sys.l2.access(probe_addr);
+    if (l2_hit) rec.l2_hits++;
   }
   if (op == Op::kLoad) {
     if (!l1_hit) rec.bytes_load += sector_bytes;
@@ -338,80 +311,6 @@ void WarpCtx::request_scalar(std::uint64_t a, int bytes_per_lane, Op op) {
     rec.bytes_store += sector_bytes;
   }
   if (!l1_hit && !l2_hit) rec.bytes_dram += sector_bytes;
-}
-
-// --- analytical-tier accounting twins ---------------------------------------
-// One O(1) note per request instead of per-line tag probes. The functional
-// counters (requests, sectors, bytes_store, bytes_atomic, issue) and the
-// exact atomic latency match the mechanistic twins bit for bit; loads carry
-// a provisional flat L2-latency charge that AnalyticalTiming::finalize()
-// swaps for the expectation under the derived hit mix at kernel end.
-
-void WarpCtx::analytical_one_line(std::uint64_t line0, std::uint32_t smask,
-                                  Op op) {
-  auto& sys = *sys_;
-  KernelRecord& rec = *sys.rec;
-  const GpuSpec& spec = sys.spec;
-  rec.requests += 1;
-  issue_ += 1;
-  const int nsec = std::popcount(smask);
-  rec.sectors += nsec;
-  const std::int64_t bytes =
-      nsec * static_cast<std::int64_t>(spec.sector_bytes);
-  AnalyticalRegion& r =
-      sys.analytical.region(site_ != nullptr ? site_->id : 0);
-  switch (op) {
-    case Op::kLoad:
-      r.load.note(1, nsec, line0, line0);
-      mem_ += spec.l2_latency / spec.load_pipeline_depth;
-      break;
-    case Op::kStore:
-      r.store.note(1, nsec, line0, line0);
-      rec.bytes_store += bytes;
-      break;
-    case Op::kAtomic:
-      r.atomic.note(1, nsec, line0, line0);
-      rec.bytes_atomic += bytes;
-      mem_ += spec.atomic_latency;
-      break;
-  }
-}
-
-void WarpCtx::analytical_lines(const SectorLine* lines, int nlines, Op op) {
-  auto& sys = *sys_;
-  KernelRecord& rec = *sys.rec;
-  const GpuSpec& spec = sys.spec;
-  rec.requests += 1;
-  issue_ += 1;
-  int nsec = 0;
-  std::uint64_t lo = ~std::uint64_t{0};
-  std::uint64_t hi = 0;
-  for (int i = 0; i < nlines; ++i) {
-    const auto& e = lines[static_cast<std::size_t>(i)];
-    nsec += std::popcount(e.sectors);
-    lo = std::min(lo, e.line);
-    hi = std::max(hi, e.line);
-  }
-  rec.sectors += nsec;
-  const std::int64_t bytes =
-      nsec * static_cast<std::int64_t>(spec.sector_bytes);
-  AnalyticalRegion& r =
-      sys.analytical.region(site_ != nullptr ? site_->id : 0);
-  switch (op) {
-    case Op::kLoad:
-      r.load.note(nlines, nsec, lo, hi);
-      mem_ += spec.l2_latency / spec.load_pipeline_depth;
-      break;
-    case Op::kStore:
-      r.store.note(nlines, nsec, lo, hi);
-      rec.bytes_store += bytes;
-      break;
-    case Op::kAtomic:
-      r.atomic.note(nlines, nsec, lo, hi);
-      rec.bytes_atomic += bytes;
-      mem_ += spec.atomic_latency;
-      break;
-  }
 }
 
 // The vector load/store entry points fuse the single-line scan into the

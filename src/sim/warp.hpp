@@ -11,12 +11,10 @@
 #include <array>
 #include <cstdint>
 
-#include "sim/analytical.hpp"
 #include "sim/cache.hpp"
 #include "sim/counters.hpp"
 #include "sim/device_memory.hpp"
 #include "sim/gpu_spec.hpp"
-#include "sim/timing.hpp"
 #include "sim/trace.hpp"
 
 namespace tlp::sim {
@@ -47,15 +45,6 @@ struct MemorySystem {
   KernelRecord* rec = nullptr;  ///< current kernel's counters
   /// Opt-in access recorder for the tlpsan analysis passes; null = off.
   AccessTrace* trace = nullptr;
-  /// Tests can disable tag simulation to get pure compulsory traffic.
-  bool model_caches = true;
-  /// Which timing backend prices the access stream (sim/timing.hpp). The
-  /// functional layer — data movement, lane masks, byte counts, atomic
-  /// ordering — is identical under both tiers.
-  TimingTier tier = TimingTier::kMechanistic;
-  /// Per-region accumulators for the analytical tier; unused (and never
-  /// touched) under the mechanistic tier.
-  AnalyticalTiming analytical;
 
   explicit MemorySystem(const GpuSpec& s);
   void reset_caches();
@@ -245,14 +234,6 @@ class WarpCtx {
   /// address array. Produces exactly the counters/costs request() would for
   /// mask 0x1, including the identical TraceAccess when a trace is attached.
   void request_scalar(std::uint64_t addr, int bytes_per_lane, Op op);
-
-  // --- analytical-tier accounting twins ------------------------------------
-  // The functional counters (requests, sectors, bytes_store/atomic, issue)
-  // and the exact atomic charges match the mechanistic accounting; cache
-  // probes are replaced by one O(1) note into the per-region accumulator and
-  // loads carry a provisional flat charge that finalize() corrects.
-  void analytical_one_line(std::uint64_t line0, std::uint32_t smask, Op op);
-  void analytical_lines(const SectorLine* lines, int nlines, Op op);
 
   /// Cold path: builds and records the TraceAccess for an attached tlpsan
   /// trace. Kept out of line so the (trace == nullptr) common case pays only

@@ -1,46 +1,49 @@
-# CLI regression check (ISSUE 10): enum-valued flags must reject unknown
-# values with exit code 2 and a diagnostic that names the valid set, across
-# every tool that parses one — never fall through to a default or die with a
-# generic CheckError (exit 1). Invoked by ctest as
+# CLI regression check: unknown flags and enum values must be
+# usage errors — exit code 2 and a diagnostic that names the flag — across
+# every tool, never silently ignored, never a fall-through to a default, and
+# never a generic CheckError (exit 1). Invoked by ctest as
 #   cmake -DTLPBENCH=... -DTLPGNN_CLI=... -DTLPSERVE=... -DBASELINE=...
 #         -P check_cli_enums.cmake
 
-# Case 1: tlpbench --timing-tier with a value that is not a tier.
+# Case 1: tlpbench rejects an unknown flag (here --timing-tier) before any
+# bench runs.
+set(unused_report "${CMAKE_CURRENT_BINARY_DIR}/cli_enums_unused.json")
+file(REMOVE "${unused_report}")
 execute_process(
   COMMAND "${TLPBENCH}" run --only table1 --max-edges 5000
-          --timing-tier warp
-          --out "${CMAKE_CURRENT_BINARY_DIR}/cli_enums_unused.json"
+          --timing-tier analytical
+          --out "${unused_report}"
           --baseline "${BASELINE}"
   RESULT_VARIABLE rc1
   ERROR_VARIABLE err1
   OUTPUT_QUIET)
 if(NOT rc1 EQUAL 2)
-  message(FATAL_ERROR "tlpbench bad --timing-tier: expected exit 2, got ${rc1}")
+  message(FATAL_ERROR "tlpbench --timing-tier: expected exit 2, got ${rc1}")
 endif()
-if(NOT err1 MATCHES "timing-tier" OR NOT err1 MATCHES "valid:.*analytical")
+if(NOT err1 MATCHES "unknown flag --timing-tier")
   message(FATAL_ERROR
-          "tlpbench bad --timing-tier: diagnostic must name the flag and the "
-          "valid set, got: ${err1}")
+          "tlpbench --timing-tier: diagnostic must name the flag, got: "
+          "${err1}")
 endif()
 # The rejected run must not have left a report behind.
-if(EXISTS "${CMAKE_CURRENT_BINARY_DIR}/cli_enums_unused.json")
+if(EXISTS "${unused_report}")
   message(FATAL_ERROR "rejected tlpbench run wrote a report; it must not")
 endif()
 
-# Case 2: tlpgnn_cli --timing-tier, same contract on the other front end.
+# Case 2: tlpgnn_cli rejects the same unknown flag.
 execute_process(
-  COMMAND "${TLPGNN_CLI}" run --max-edges 2000 --timing-tier bogus
+  COMMAND "${TLPGNN_CLI}" run --max-edges 2000 --timing-tier analytical
   RESULT_VARIABLE rc2
   ERROR_VARIABLE err2
   OUTPUT_QUIET)
 if(NOT rc2 EQUAL 2)
   message(FATAL_ERROR
-          "tlpgnn_cli bad --timing-tier: expected exit 2, got ${rc2}")
+          "tlpgnn_cli run --timing-tier: expected exit 2, got ${rc2}")
 endif()
-if(NOT err2 MATCHES "timing-tier" OR NOT err2 MATCHES "valid:.*mech")
+if(NOT err2 MATCHES "unknown flag --timing-tier")
   message(FATAL_ERROR
-          "tlpgnn_cli bad --timing-tier: diagnostic must name the flag and "
-          "the valid set, got: ${err2}")
+          "tlpgnn_cli run --timing-tier: diagnostic must name the flag, got: "
+          "${err2}")
 endif()
 
 # Case 3: tlpserve --cache-policy, the pre-existing enum flag swept into the
@@ -60,16 +63,39 @@ if(NOT err3 MATCHES "cache-policy" OR NOT err3 MATCHES "valid:.*presample")
           "the valid set, got: ${err3}")
 endif()
 
-# Case 4: valid aliases still parse — "mechanistic" is an accepted spelling
-# of the default tier, so the checked getter must not be stricter than the
-# documented set.
+# Case 4: tlpgnn_cli gen has no MatrixMarket writer, so --format mtx is a
+# usage error naming the valid set, and no file is written.
+set(gen_mtx "${CMAKE_CURRENT_BINARY_DIR}/cli_enums_gen.mtx")
+file(REMOVE "${gen_mtx}")
 execute_process(
-  COMMAND "${TLPGNN_CLI}" run --max-edges 2000 --timing-tier mechanistic
+  COMMAND "${TLPGNN_CLI}" gen --vertices 100 --edges 400
+          --format mtx --out "${gen_mtx}"
   RESULT_VARIABLE rc4
   ERROR_VARIABLE err4
   OUTPUT_QUIET)
-if(NOT rc4 EQUAL 0)
-  message(FATAL_ERROR
-          "tlpgnn_cli --timing-tier mechanistic: expected exit 0, got ${rc4} "
-          "(${err4})")
+if(NOT rc4 EQUAL 2)
+  message(FATAL_ERROR "tlpgnn_cli gen --format mtx: expected exit 2, got ${rc4}")
 endif()
+if(NOT err4 MATCHES "format" OR NOT err4 MATCHES "valid: el, bin")
+  message(FATAL_ERROR
+          "tlpgnn_cli gen --format mtx: diagnostic must name the flag and "
+          "the valid set, got: ${err4}")
+endif()
+if(EXISTS "${gen_mtx}")
+  message(FATAL_ERROR "rejected tlpgnn_cli gen wrote ${gen_mtx}; it must not")
+endif()
+
+# Case 5: a valid format still parses, so the checked getter is not stricter
+# than the documented set.
+set(gen_bin "${CMAKE_CURRENT_BINARY_DIR}/cli_enums_gen.bin")
+execute_process(
+  COMMAND "${TLPGNN_CLI}" gen --vertices 100 --edges 400
+          --format bin --out "${gen_bin}"
+  RESULT_VARIABLE rc5
+  ERROR_VARIABLE err5
+  OUTPUT_QUIET)
+if(NOT rc5 EQUAL 0)
+  message(FATAL_ERROR
+          "tlpgnn_cli gen --format bin: expected exit 0, got ${rc5} (${err5})")
+endif()
+file(REMOVE "${gen_bin}")

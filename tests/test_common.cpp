@@ -180,6 +180,12 @@ TEST(Cli, ParsesNamedAndPositional) {
   EXPECT_EQ(args.get_int("missing", 7), 7);
   ASSERT_EQ(args.positional().size(), 1u);
   EXPECT_EQ(args.positional()[0], "pos1");
+  // Every passed flag is known (extra known names are fine).
+  EXPECT_EQ(args.first_unknown({"alpha", "flag", "name", "unused"}),
+            std::nullopt);
+  // One unknown flag is named; positionals never count as flags.
+  EXPECT_EQ(args.first_unknown({"alpha", "name"}), "flag");
+  EXPECT_EQ(args.first_unknown({}), "alpha");  // first in sorted order
 }
 
 }  // namespace

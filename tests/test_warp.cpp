@@ -169,16 +169,6 @@ TEST_F(WarpFixture, ChargeAluAccumulates) {
   EXPECT_DOUBLE_EQ(w.issue_cycles(), 4.0);
 }
 
-TEST_F(WarpFixture, CacheModelCanBeDisabled) {
-  sys.model_caches = false;
-  WarpCtx w(sys, 0);
-  (void)w.load_f32(data, iota(0), kFullMask);
-  (void)w.load_f32(data, iota(0), kFullMask);
-  EXPECT_EQ(rec.l1_accesses, 0);
-  // Without caches every sector is compulsory traffic.
-  EXPECT_EQ(rec.bytes_load, 2 * 4 * 32);
-}
-
 TEST(LaneHelpers, Masks) {
   EXPECT_EQ(lanes_below(0), 0u);
   EXPECT_EQ(lanes_below(1), 1u);

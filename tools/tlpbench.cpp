@@ -38,7 +38,7 @@ using namespace tlp;
 const std::vector<std::string> kFlags{
     "only", "list", "seed",     "max-edges",       "full",
     "feature", "out",  "baseline", "no-assert",       "update-baseline",
-    "render-md", "from", "check-md", "timing-tier", "help"};
+    "render-md", "from", "check-md", "help"};
 
 void usage(std::FILE* to) {
   std::fprintf(
@@ -48,8 +48,6 @@ void usage(std::FILE* to) {
       "run mode:      tlpbench [--only a,b] [--seed S] [--max-edges N]\n"
       "               [--full] [--feature F] [--out PATH] [--baseline PATH]\n"
       "               [--no-assert] [--update-baseline]\n"
-      "               [--timing-tier {mech,analytical}]  (analytical adds\n"
-      "               @analytical twin records + cross-tier assertions)\n"
       "render mode:   tlpbench --render-md [PATH] [--from REPORT.json]\n"
       "doc gate:      tlpbench --check-md EXPERIMENTS.md\n"
       "introspection: tlpbench --list\n");
@@ -116,12 +114,8 @@ int print_shape_outcomes(const std::vector<report::ShapeOutcome>& outcomes) {
 }
 
 /// Renders EXPERIMENTS.md content from a results snapshot + its assertions.
-/// The same tier gate as run mode applies: analytical cross-tier assertions
-/// are omitted when the snapshot holds no @analytical records, keeping the
-/// rendered doc identical whether or not such assertions are authored.
 std::string render_from_baseline(const Baseline& b) {
-  const auto outcomes = report::evaluate_all(
-      report::applicable_assertions(b.assertions, b.results), b.results);
+  const auto outcomes = report::evaluate_all(b.assertions, b.results);
   return report::render_experiments_md(b.results, outcomes);
 }
 
@@ -135,11 +129,6 @@ std::string default_out_name() {
 }
 
 int run_mode(const Args& args) {
-  // Validate the tier eagerly so a typo dies with a usage diagnostic (exit
-  // 2) before any bench runs; the value itself is just forwarded.
-  (void)args.get_choice("timing-tier", "mech",
-                        {"mech", "mechanistic", "analytical"});
-
   // Select benches.
   std::vector<const bench::BenchDef*> selected;
   if (args.has("only")) {
@@ -171,7 +160,7 @@ int run_mode(const Args& args) {
 
   // Forward the global overrides to every bench as its own argv.
   std::vector<std::string> fwd{"bench"};
-  for (const char* flag : {"seed", "max-edges", "feature", "timing-tier"}) {
+  for (const char* flag : {"seed", "max-edges", "feature"}) {
     if (args.has(flag))
       fwd.push_back("--" + std::string(flag) + "=" + args.get(flag, ""));
   }
@@ -301,20 +290,16 @@ int run_mode(const Args& args) {
     return 1;
   }
 
-  // Evaluate against the *fresh* results: only assertions whose bench ran,
-  // and only tier-gated assertions whose tier actually produced records
-  // (analytical assertions are skipped on a mech-only run).
+  // Evaluate against the *fresh* results: only assertions whose bench ran.
   std::vector<report::ShapeAssertion> applicable;
-  for (const report::ShapeAssertion& a :
-       report::applicable_assertions(baseline.assertions, merged)) {
+  for (const report::ShapeAssertion& a : baseline.assertions) {
     if (merged.find_bench(a.bench) != nullptr) applicable.push_back(a);
   }
   const auto outcomes = report::evaluate_all(applicable, merged);
   const int failures = print_shape_outcomes(outcomes);
   if (static_cast<std::size_t>(failures) < applicable.size() &&
       applicable.size() < baseline.assertions.size()) {
-    std::printf("(%zu assertions skipped: bench not selected or timing tier "
-                "not run)\n",
+    std::printf("(%zu assertions skipped: bench not selected)\n",
                 baseline.assertions.size() - applicable.size());
   }
   // After the assertions so the CI job-summary capture (everything from
@@ -339,12 +324,10 @@ int main(int argc, char** argv) {
       known.push_back(f);
     }
   }
-  for (const std::string& key : args.named_keys()) {
-    if (std::find(known.begin(), known.end(), key) == known.end()) {
-      std::fprintf(stderr, "error: unknown flag --%s\n", key.c_str());
-      usage(stderr);
-      return 2;
-    }
+  if (const auto unknown = args.first_unknown(known)) {
+    std::fprintf(stderr, "error: unknown flag --%s\n", unknown->c_str());
+    usage(stderr);
+    return 2;
   }
 
   if (args.get_bool("list", false)) {

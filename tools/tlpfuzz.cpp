@@ -56,6 +56,12 @@ int main(int argc, char** argv) {
         << "framework replica, and fault plan against the CPU reference.\n";
     return 0;
   }
+  if (const auto unknown = args.first_unknown(
+          {"iters", "seed", "time-budget", "repro", "expect-bugs", "repro-dir",
+           "json", "verbose", "help"})) {
+    std::cerr << "error: unknown flag --" << *unknown << "\n";
+    return 2;
+  }
 
   tlp::fuzz::FuzzOptions opts;
   opts.seed = static_cast<std::uint64_t>(

@@ -4,17 +4,17 @@
 //                   [--graph file.el] [--feature 32] [--heads 1]
 //                   [--max-edges N] [--full] [--gpu-scale D] [--seed S]
 //                   [--check] [--repeat R]
-//                   [--timing-tier mech|analytical]
 //                   [--memcheck] [--device-mem-gb G]
 //                   [--oom-at N] [--fail-launch N]
 //                   [--flip-at N] [--flip-bits B] [--flip-alloc I]
 //   tlpgnn_cli gen  --out graph.el [--dataset RD | --vertices N --edges M
-//                   --alpha A] [--max-edges N] [--format el|mtx|bin]
+//                   --alpha A] [--max-edges N] [--format el|bin]
 //   tlpgnn_cli info [--dataset PD | --graph file.el]
 //
 // `run` executes one graph convolution on any system and prints the
 // Nsight-style profile; `gen` materializes dataset replicas to disk;
-// `info` prints graph statistics.
+// `info` prints graph statistics. `--graph` also reads MatrixMarket (.mtx)
+// files. An unknown flag is a usage error (exit 2).
 //
 // Fault-model flags (see DESIGN.md "Fault model & memory safety"):
 //   --memcheck        run with guarded device memory (redzones, poison,
@@ -28,6 +28,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "common/cli.hpp"
 #include "common/format.hpp"
@@ -44,6 +45,18 @@
 namespace {
 
 using namespace tlp;
+
+/// Every flag of run, gen and info, in one list: the commands share the
+/// graph-source flags.
+const std::vector<std::string> kFlags{
+    // run
+    "system", "model", "feature", "heads", "gpu-scale", "check", "repeat",
+    "memcheck", "device-mem-gb", "oom-at", "fail-launch", "flip-at",
+    "flip-bits", "flip-alloc",
+    // graph source (run, gen, info)
+    "dataset", "graph", "max-edges", "full", "seed",
+    // gen
+    "out", "vertices", "edges", "alpha", "format"};
 
 graph::Csr load_graph(const Args& args) {
   const std::string path = args.get("graph", "");
@@ -74,12 +87,6 @@ sim::DeviceOptions device_options(const Args& args) {
   sim::DeviceOptions opts;
   if (args.get_bool("memcheck", false))
     opts.mem_mode = sim::MemoryMode::kGuarded;
-  // --timing-tier {mech,analytical}: mechanistic (default, bit-pinned) or
-  // the closed-form analytical fast tier (DESIGN.md §13). An unknown value
-  // throws UsageError → exit 2.
-  const std::string tier = args.get_choice(
-      "timing-tier", "mech", {"mech", "mechanistic", "analytical"});
-  (void)sim::timing_tier_from_name(tier, opts.timing_tier);
   // Strict parsing: a mistyped fault flag must die with a message naming the
   // flag, not silently inject nothing (or fault allocation #0 forever).
   constexpr std::int64_t kSeqMax = 1'000'000'000'000;
@@ -180,6 +187,8 @@ int cmd_run(const Args& args) {
 int cmd_gen(const Args& args) {
   const std::string out = args.get("out", "");
   TLP_CHECK_MSG(!out.empty(), "gen requires --out <path>");
+  // Checked before the (possibly large) graph is built or anything written.
+  const std::string format = args.get_choice("format", "el", {"el", "bin"});
   graph::Csr g;
   if (args.has("dataset")) {
     g = load_graph(args);
@@ -191,7 +200,6 @@ int cmd_gen(const Args& args) {
         args.get_int_checked("edges", 100'000, 0, 1LL << 48),
         args.get_double_checked("alpha", 2.3, 0.1, 64.0), rng);
   }
-  const std::string format = args.get("format", "el");
   if (format == "bin") {
     graph::write_binary_csr_file(out, g);
   } else {
@@ -228,6 +236,10 @@ int cmd_info(const Args& args) {
 
 int main(int argc, char** argv) {
   const tlp::Args args(argc, argv);
+  if (const auto unknown = args.first_unknown(kFlags)) {
+    std::fprintf(stderr, "error: unknown flag --%s\n", unknown->c_str());
+    return 2;
+  }
   const std::string cmd =
       args.positional().empty() ? "run" : args.positional()[0];
   try {

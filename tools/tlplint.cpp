@@ -22,8 +22,8 @@
 // or above the --fail-on severity exists (useful locally); with --baseline,
 // only *new* findings gate, so known paper-documented pathologies stay
 // visible without breaking CI. --strict makes a truncated trace (TLP-META-000
-// — incomplete coverage) failing in either mode. See README.md ("Linting the
-// kernels") for the workflow.
+// — incomplete coverage) failing in either mode. An unknown flag is a usage
+// error (exit 2). See README.md ("Linting the kernels") for the workflow.
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -119,6 +119,12 @@ int main(int argc, char** argv) {
         << "(without; default error). --strict also fails on a truncated\n"
         << "trace.\n";
     return 0;
+  }
+  if (const auto unknown = args.first_unknown(
+          {"systems", "serve", "json", "sarif", "fail-on", "strict",
+           "max-trace-mb", "baseline", "update-baseline", "help"})) {
+    std::cerr << "error: unknown flag --" << *unknown << "\n";
+    return 2;
   }
 
   std::vector<std::string> systems =

@@ -33,7 +33,6 @@
 // may slow requests down or shed them, but a served embedding is always the
 // bit-identical fault-free answer. Exit codes: 0 ok, 1 failure (including a
 // --verify mismatch), 2 usage error.
-#include <algorithm>
 #include <cctype>
 #include <cstdio>
 #include <cstring>
@@ -348,13 +347,10 @@ int main(int argc, char** argv) {
     print_usage(stdout);
     return 0;
   }
-  for (const std::string& key : args.named_keys()) {
-    if (std::find(known_flags().begin(), known_flags().end(), key) ==
-        known_flags().end()) {
-      std::fprintf(stderr, "error: unknown flag --%s\n", key.c_str());
-      print_usage(stderr);
-      return 2;
-    }
+  if (const auto unknown = args.first_unknown(known_flags())) {
+    std::fprintf(stderr, "error: unknown flag --%s\n", unknown->c_str());
+    print_usage(stderr);
+    return 2;
   }
   try {
     return run(args);
