@@ -65,6 +65,37 @@ void BM_ScatteredLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_ScatteredLoad);
 
+// The broadcast shape of indptr bounds and neighbor ids: one lane, walking
+// a buffer element by element, so most probes hit L1.
+void BM_ScalarLoad(benchmark::State& state) {
+  WarpBench b;
+  sim::WarpCtx warp(b.sys, 0);
+  std::int64_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(warp.load_scalar_f32(b.data, i));
+    i = (i + 1) & ((1 << 22) - 1);
+  }
+  state.counters["sectors/req"] =
+      static_cast<double>(b.rec.sectors) / static_cast<double>(b.rec.requests);
+}
+BENCHMARK(BM_ScalarLoad);
+
+// A warp reading a 32-float feature-row chunk through load_f32_seq, starting
+// `range(0)` floats into a line: 0 is one aligned line, 16 straddles two.
+void BM_SeqLoad(benchmark::State& state) {
+  WarpBench b;
+  sim::WarpCtx warp(b.sys, 0);
+  std::int64_t row = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        warp.load_f32_seq(b.data, row + state.range(0), sim::kWarpSize));
+    row = (row + sim::kWarpSize) & ((1 << 22) - 64);
+  }
+  state.counters["sectors/req"] =
+      static_cast<double>(b.rec.sectors) / static_cast<double>(b.rec.requests);
+}
+BENCHMARK(BM_SeqLoad)->Arg(0)->Arg(16);
+
 void BM_AtomicAddConflicts(benchmark::State& state) {
   WarpBench b;
   sim::WarpCtx warp(b.sys, 0);

@@ -75,8 +75,8 @@ bool outputs_close(const Tensor& got, const Tensor& ref, std::string* detail) {
   const auto fg = got.flat();
   const auto fr = ref.flat();
   for (std::size_t i = 0; i < fg.size(); ++i) {
-    // allclose's tolerance comparison is false for NaN operands in a way
-    // that *accepts* them; reject non-finite disagreements explicitly.
+    // allclose rejects these as well; checking them first lets the detail
+    // name the index of the first non-finite disagreement.
     if (std::isfinite(fg[i]) != std::isfinite(fr[i]) ||
         std::isnan(fg[i]) != std::isnan(fr[i])) {
       if (detail) {

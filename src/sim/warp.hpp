@@ -173,74 +173,59 @@ class WarpCtx {
 
  private:
   enum class Op { kLoad, kStore, kAtomic };
+  using LaneAddrs = std::array<std::uint64_t, kWarpSize>;
 
-  /// SIMD-style batched core of the vector gather: one lane loop moves the
-  /// data, computes the 32 addresses, and fuses the single-line coalescing
-  /// scan; `*_seq` and the typed public entry points are instances of this
-  /// form. Full-mask requests take a counted loop (unrolls and pipelines
-  /// better than the serial mask walk) — the visit order is lane-ascending
-  /// either way, so counters and cache state are identical.
-  template <class T>
-  WVec<T> load_vec(DevPtr<T> base, const WVec<std::int64_t>& idx, Mask m);
-  /// Batched scatter core, same shape as load_vec.
-  template <class T>
-  void store_vec(DevPtr<T> base, const WVec<std::int64_t>& idx,
-                 const WVec<T>& val, Mask m);
-  /// Batched sequential-range gather: the `*_seq` fast paths are this one
-  /// template (4-byte elements; block copy + closed-form span accounting).
-  template <class T>
-  WVec<T> load_seq_vec(DevPtr<T> base, std::int64_t start, int n);
-
-  /// Core of the memory model: dedupes lane addresses into 32 B sectors and
-  /// 128 B lines, probes the caches, charges latency, and records traffic.
-  /// `scalar` marks single-lane broadcast accesses so the divergence pass
-  /// does not mistake them for masked-out lanes.
-  void request(const std::array<std::uint64_t, kWarpSize>& addr, Mask m,
-               int bytes_per_lane, Op op, bool scalar = false);
-
-  /// Accounting for a request whose active lanes all fall in one 128 B line
-  /// (`smask` = the 4-bit 32 B-sector mask within it): one probe, no dedup.
-  /// Shared by the fused lane-loop scans in the vector load/store entry
-  /// points and by request()'s own single-line detection, so both paths
-  /// produce byte-identical counters and costs.
-  void request_one_line(std::uint64_t line0, std::uint32_t smask, Op op);
-
-  /// A deduplicated 128 B line with the mask of its touched 32 B sectors.
+  /// A 128 B line a request touches, with the mask of its 32 B sectors.
   struct SectorLine {
     std::uint64_t line;
     std::uint32_t sectors;
   };
 
-  /// Probes and accounts `nlines` deduplicated lines in order — the shared
-  /// core of the general gather/scatter path and the two-line sequential
-  /// case. Includes the per-request counters (requests, issue).
-  void request_lines(const SectorLine* lines, int nlines, Op op);
+  // Every warp request is priced by charge(); the front ends below only
+  // move the data, record the trace and build the request's line set, in
+  // the first-occurrence order of its lanes (the caches are probed in that
+  // order, which is observable through LRU state).
 
-  /// General multi-line path: dedupes lane addresses into lines with
-  /// per-line sector masks (first-occurrence order) and probes each.
-  /// Trace/slot bookkeeping is the caller's job.
-  void request_general(const std::array<std::uint64_t, kWarpSize>& addr,
-                       Mask m, Op op);
+  /// The pricing core: counts the request, its issue slot and its ordinal,
+  /// probes `lines` in order (L1, then L2 on an L1 miss; atomics resolve at
+  /// the L2 atomic units only), charges the worst probe latency, and
+  /// records sector and byte traffic. Always inlined, so each call site
+  /// gets a copy specialised to its line count and, where known, its op;
+  /// one shared out-of-line copy made the scalar path measurably slower.
+  [[gnu::always_inline]] inline void charge(const SectorLine* lines, int n,
+                                            Op op);
 
-  /// Accounting for a contiguous element range [first_addr, last_addr]
-  /// (addresses of the first and last element): the range covers every
-  /// sector in between, so the line set and per-line sector masks follow
-  /// arithmetically — one line, or two adjacent ones. Trace/slot
-  /// bookkeeping is the caller's job.
-  void request_span(std::uint64_t first_addr, std::uint64_t last_addr, Op op);
+  /// The one lane walk behind every vector gather, scatter and atomic: for
+  /// each active lane it derives the address, applies `move(lane, addr)`,
+  /// reports stores to the race detector, and fuses the "all lanes in one
+  /// line?" scan. Scattered lanes are grouped by line; atomics are also
+  /// grouped by address, and the worst address's extra lanes are charged
+  /// as replays. Full-mask requests take a counted loop (it unrolls better
+  /// than the mask walk); both visit lanes in ascending order.
+  template <Op op, class T, class Move>
+  void walk(DevPtr<T> base, const WVec<std::int64_t>& idx, Mask m, Move move);
+  template <class T>
+  WVec<T> gather(DevPtr<T> base, const WVec<std::int64_t>& idx, Mask m);
+  template <class T>
+  WVec<T> gather_seq(DevPtr<T> base, std::int64_t start, int n);
 
-  /// Fast path for single-lane broadcast accesses (indptr bounds, neighbor
-  /// ids, pool counters): one line, one sector, no dedup pass and no 32-lane
-  /// address array. Produces exactly the counters/costs request() would for
-  /// mask 0x1, including the identical TraceAccess when a trace is attached.
-  void request_scalar(std::uint64_t addr, int bytes_per_lane, Op op);
+  /// `*_seq` pricing for n contiguous 4-byte lanes from `a0`: the range
+  /// covers every sector between its ends, so its line set is closed-form,
+  /// one line or two adjacent ones. Out of line: inlined into the `*_seq`
+  /// entry points it measured slower (BM_SeqLoad).
+  void span(std::uint64_t a0, int n, Op op);
+
+  /// Scalar pricing: lane 0 alone touches one sector of one line. The trace
+  /// record is flagged `scalar` so the divergence pass does not mistake the
+  /// broadcast for masked-out lanes. Inlined, so each op is a constant.
+  [[gnu::always_inline]] inline void scalar(std::uint64_t a,
+                                            int bytes_per_lane, Op op);
 
   /// Cold path: builds and records the TraceAccess for an attached tlpsan
   /// trace. Kept out of line so the (trace == nullptr) common case pays only
   /// a predicted-not-taken branch in the request hot path.
-  [[gnu::noinline]] void record_trace(
-      const std::array<std::uint64_t, kWarpSize>& addr, Mask m,
-      int bytes_per_lane, Op op, bool scalar);
+  [[gnu::noinline]] void record_trace(const LaneAddrs& addr, Mask m,
+                                      int bytes_per_lane, Op op, bool scalar);
 
   /// Guarded-memory hook: reports one store lane to the write-race detector.
   void note_store(std::uint64_t addr, int bytes, bool atomic) {

@@ -27,8 +27,13 @@ bool allclose(const Tensor& a, const Tensor& ref, double rtol, double atol) {
   const auto fa = a.flat();
   const auto fr = ref.flat();
   for (std::size_t i = 0; i < fa.size(); ++i) {
+    if (fa[i] == fr[i]) continue;  // equal infinities match too
+    // Negated so that a NaN on either side fails; a non-finite reference
+    // matches only its equal.
     const double diff = std::abs(static_cast<double>(fa[i]) - fr[i]);
-    if (diff > atol + rtol * std::abs(static_cast<double>(fr[i]))) return false;
+    if (!(std::isfinite(fr[i]) &&
+          diff <= atol + rtol * std::abs(static_cast<double>(fr[i]))))
+      return false;
   }
   return true;
 }

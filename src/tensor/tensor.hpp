@@ -61,7 +61,8 @@ class Tensor {
 /// Max absolute elementwise difference; tensors must have equal shape.
 double max_abs_diff(const Tensor& a, const Tensor& b);
 
-/// True if shapes match and elements agree within atol + rtol*|ref|.
+/// True if shapes match and each element equals its reference or lies
+/// within atol + rtol*|ref| of a finite one. NaN never matches.
 bool allclose(const Tensor& a, const Tensor& ref, double rtol = 1e-4,
               double atol = 1e-5);
 

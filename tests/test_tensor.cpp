@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/rng.hpp"
 #include "tensor/dense_ops.hpp"
@@ -33,6 +34,28 @@ TEST(Tensor, MaxAbsDiffAndAllclose) {
   EXPECT_TRUE(allclose(a, b, 1e-3, 1e-5));
   EXPECT_FALSE(allclose(a, b, 1e-6, 1e-7));
   EXPECT_FALSE(allclose(a, Tensor(2, 3)));
+}
+
+TEST(Tensor, AllcloseRejectsNanAndMismatchedInfinities) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const auto one = [](float x) {
+    Tensor t(1, 1);
+    t.at(0, 0) = x;
+    return t;
+  };
+  EXPECT_FALSE(allclose(one(nan), one(1.0f), 1e-3, 1e-4));
+  EXPECT_FALSE(allclose(one(1.0f), one(nan), 1e-3, 1e-4));
+  EXPECT_FALSE(allclose(one(nan), one(nan), 1e-3, 1e-4));
+  EXPECT_FALSE(allclose(one(inf), one(-inf), 1e-3, 1e-4));
+  EXPECT_FALSE(allclose(one(1.0f), one(inf), 1e-3, 1e-4));
+  EXPECT_FALSE(allclose(one(inf), one(1.0f), 1e-3, 1e-4));
+  EXPECT_TRUE(allclose(one(inf), one(inf), 1e-3, 1e-4));
+  EXPECT_TRUE(allclose(one(-inf), one(-inf), 1e-3, 1e-4));
+  // An all-NaN output against a finite reference, the case that used to pass.
+  Tensor out(2, 2);
+  for (float& x : out.flat()) x = nan;
+  EXPECT_FALSE(allclose(out, Tensor(2, 2), 1e-3, 1e-4));
 }
 
 TEST(DenseOps, MatmulAgainstHandComputed) {

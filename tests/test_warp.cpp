@@ -1,8 +1,14 @@
 // Tests for the warp-level memory model: coalescing (sector counting),
-// cache-aware traffic accounting, atomic conflict serialization, and the
-// warp collectives.
+// cache-aware traffic accounting, atomic conflict serialization, the
+// equivalence of the sequential and scalar front ends with the lane path,
+// and the warp collectives.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstring>
+#include <functional>
+
+#include "common/rng.hpp"
 #include "sim/warp.hpp"
 
 namespace tlp::sim {
@@ -167,6 +173,299 @@ TEST_F(WarpFixture, ChargeAluAccumulates) {
   w.charge_alu(3);
   w.charge_alu();
   EXPECT_DOUBLE_EQ(w.issue_cycles(), 4.0);
+}
+
+TEST_F(WarpFixture, StoreProbesL1ThenL2AndWritesThrough) {
+  WarpCtx w(sys, 0);
+  WVec<float> vals{};
+  w.store_f32(data, iota(0), vals, kFullMask);
+  EXPECT_EQ(rec.l1_accesses, 1);
+  EXPECT_EQ(rec.l2_accesses, 1);
+  EXPECT_EQ(rec.bytes_store, 4 * 32);
+  EXPECT_EQ(rec.bytes_dram, 4 * 32);
+  EXPECT_DOUBLE_EQ(w.mem_cycles(), 0.0);  // stores retire without stalling
+  (void)w.load_f32(data, iota(0), kFullMask);
+  EXPECT_EQ(rec.l1_hits, 1);  // the store left the line in L1
+  EXPECT_EQ(rec.bytes_load, 0);
+}
+
+// --- front-end equivalence ----------------------------------------------------
+//
+// The `*_seq` and scalar entry points promise to be byte-identical to the
+// general lane path. Each check runs one front end on one twin and the lane
+// call on the other, then compares every observable effect: counters, costs,
+// arena bytes, cache contents and the trace.
+
+struct Twin {
+  MemorySystem sys{GpuSpec::v100()};
+  KernelRecord rec;
+  AccessTrace trace;
+  WarpCtx warp{sys, 0, 5};
+  DevPtr<float> f32;
+  DevPtr<std::int32_t> i32;
+  DevPtr<std::int64_t> i64;
+  DevPtr<std::uint32_t> u32;
+
+  explicit Twin(MemoryMode mode = MemoryMode::kFast) {
+    sys.mem.set_mode(mode);
+    sys.rec = &rec;
+    sys.trace = &trace;
+    trace.begin_kernel("twin");
+    f32 = sys.mem.alloc<float>(1024);
+    i32 = sys.mem.alloc<std::int32_t>(1024);
+    i64 = sys.mem.alloc<std::int64_t>(1024);
+    u32 = sys.mem.alloc<std::uint32_t>(1024);
+    for (int i = 0; i < 1024; ++i) {
+      const auto k = static_cast<std::size_t>(i);
+      sys.mem.view(f32)[k] = 0.25f * static_cast<float>(i);
+      sys.mem.view(i32)[k] = 3 * i;
+      sys.mem.view(i64)[k] = 5 * i;
+      sys.mem.view(u32)[k] = static_cast<std::uint32_t>(7 * i);
+    }
+  }
+};
+
+template <class T>
+bool same_bytes(const Twin& a, const Twin& b, DevPtr<T> pa, DevPtr<T> pb) {
+  const auto va = a.sys.mem.view(pa);
+  const auto vb = b.sys.mem.view(pb);
+  return std::memcmp(va.data(), vb.data(), va.size() * sizeof(T)) == 0;
+}
+
+/// Everything `a` and `b` must agree on after the same request went through
+/// two front ends. `data` = false skips the arena (ops whose data effects
+/// differ by design); `scalar_b` = the trace flag `b`'s last record carries.
+void expect_twins_equal(const Twin& a, const Twin& b, bool data,
+                        bool scalar_b, const std::string& what) {
+  SCOPED_TRACE(what);
+  const KernelRecord& ra = a.rec;
+  const KernelRecord& rb = b.rec;
+  EXPECT_EQ(ra.requests, rb.requests);
+  EXPECT_EQ(ra.sectors, rb.sectors);
+  EXPECT_EQ(ra.bytes_load, rb.bytes_load);
+  EXPECT_EQ(ra.bytes_store, rb.bytes_store);
+  EXPECT_EQ(ra.bytes_atomic, rb.bytes_atomic);
+  EXPECT_EQ(ra.bytes_dram, rb.bytes_dram);
+  EXPECT_EQ(ra.l1_accesses, rb.l1_accesses);
+  EXPECT_EQ(ra.l1_hits, rb.l1_hits);
+  EXPECT_EQ(ra.l2_accesses, rb.l2_accesses);
+  EXPECT_EQ(ra.l2_hits, rb.l2_hits);
+  EXPECT_EQ(ra.atomic_ops, rb.atomic_ops);
+  EXPECT_EQ(ra.atomic_stall_cycles, rb.atomic_stall_cycles);
+  EXPECT_EQ(a.warp.issue_cycles(), b.warp.issue_cycles());
+  EXPECT_EQ(a.warp.mem_cycles(), b.warp.mem_cycles());
+  if (data) {
+    EXPECT_TRUE(same_bytes(a, b, a.f32, b.f32));
+    EXPECT_TRUE(same_bytes(a, b, a.i32, b.i32));
+    EXPECT_TRUE(same_bytes(a, b, a.i64, b.i64));
+    EXPECT_TRUE(same_bytes(a, b, a.u32, b.u32));
+  }
+  for (std::uint64_t line = 0; line <= a.u32.addr(1024) >> 7; ++line) {
+    ASSERT_EQ(a.sys.l1[0].contains(line << 7), b.sys.l1[0].contains(line << 7))
+        << "L1 line " << line;
+    ASSERT_EQ(a.sys.l2.contains(line << 7), b.sys.l2.contains(line << 7))
+        << "L2 line " << line;
+  }
+  const auto& ta = a.trace.kernels().back().accesses;
+  const auto& tb = b.trace.kernels().back().accesses;
+  ASSERT_EQ(ta.size(), tb.size());
+  if (ta.empty()) return;
+  const TraceAccess& x = ta.back();
+  const TraceAccess& y = tb.back();
+  EXPECT_EQ(x.warp, y.warp);
+  EXPECT_EQ(x.item, y.item);
+  EXPECT_EQ(x.site, y.site);
+  EXPECT_EQ(x.slot, y.slot);
+  EXPECT_EQ(x.kind, y.kind);
+  EXPECT_EQ(x.bytes, y.bytes);
+  EXPECT_FALSE(x.scalar);
+  EXPECT_EQ(y.scalar, scalar_b);
+  EXPECT_EQ(x.mask, y.mask);
+  EXPECT_EQ(x.addr, y.addr);
+}
+
+WVec<std::int64_t> seq_lanes(std::int64_t start, int n) {
+  WVec<std::int64_t> idx{};
+  for (int l = 0; l < n; ++l) idx[static_cast<std::size_t>(l)] = start + l;
+  return idx;
+}
+
+// Every one- and two-line span and every sector boundary: n = 1..32 lanes
+// from each of 64 start offsets (two lines' worth). Each op runs twice,
+// first against cold caches (DRAM), then warm (L1 or, for atomics, L2 hits).
+// Guarded memory mode, where the `*_seq` ops replay through the lane walk,
+// must agree too.
+class SeqMatchesLanePath : public ::testing::TestWithParam<MemoryMode> {};
+
+TEST_P(SeqMatchesLanePath, EverySpan) {
+  Twin lane(GetParam());
+  Twin seq(GetParam());
+  WVec<float> val{};
+  for (int l = 0; l < kWarpSize; ++l)
+    val[static_cast<std::size_t>(l)] = 0.5f + static_cast<float>(l);
+  // op(twin, start, n, use_seq)
+  const std::function<void(Twin&, std::int64_t, int, bool)> ops[] = {
+      [](Twin& t, std::int64_t start, int n, bool s) {
+        const WVec<float> got =
+            s ? t.warp.load_f32_seq(t.f32, start, n)
+              : t.warp.load_f32(t.f32, seq_lanes(start, n), lanes_below(n));
+        for (int l = 0; l < kWarpSize; ++l)
+          EXPECT_EQ(got[static_cast<std::size_t>(l)],
+                    l < n ? t.sys.mem.view(t.f32)[static_cast<std::size_t>(
+                                start + l)]
+                          : 0.0f);
+      },
+      [](Twin& t, std::int64_t start, int n, bool s) {
+        const WVec<std::int32_t> got =
+            s ? t.warp.load_i32_seq(t.i32, start, n)
+              : t.warp.load_i32(t.i32, seq_lanes(start, n), lanes_below(n));
+        for (int l = 0; l < kWarpSize; ++l)
+          EXPECT_EQ(got[static_cast<std::size_t>(l)],
+                    l < n ? 3 * (start + l) : 0);
+      },
+      [&val](Twin& t, std::int64_t start, int n, bool s) {
+        if (s)
+          t.warp.store_f32_seq(t.f32, start, val, n);
+        else
+          t.warp.store_f32(t.f32, seq_lanes(start, n), val, lanes_below(n));
+      },
+      [&val](Twin& t, std::int64_t start, int n, bool s) {
+        if (s)
+          t.warp.atomic_add_f32_seq(t.f32, start, val, n);
+        else
+          t.warp.atomic_add_f32(t.f32, seq_lanes(start, n), val,
+                                lanes_below(n));
+      },
+  };
+  const char* const names[] = {"load_f32", "load_i32", "store_f32",
+                               "atomic_add_f32"};
+  for (std::int64_t start = 0; start < 64; ++start) {
+    for (int n = 1; n <= kWarpSize; ++n) {
+      for (std::size_t k = 0; k < std::size(ops); ++k) {
+        lane.sys.reset_caches();
+        seq.sys.reset_caches();
+        for (const char* state : {"cold", "warm"}) {
+          ops[k](lane, start, n, false);
+          ops[k](seq, start, n, true);
+          expect_twins_equal(lane, seq, true, false,
+                             std::string(names[k]) + " " + state + " start " +
+                                 std::to_string(start) + " n " +
+                                 std::to_string(n));
+          if (HasFailure()) return;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(FrontEndEquivalence, SeqMatchesLanePath,
+                         ::testing::Values(MemoryMode::kFast,
+                                           MemoryMode::kGuarded));
+
+// Each scalar op against the lane call with only lane 0 active; the traces
+// differ only in the scalar flag.
+TEST(FrontEndEquivalence, ScalarMatchesOneLane) {
+  Twin lane;
+  Twin one;
+  const std::function<void(Twin&, std::int64_t, bool)> ops[] = {
+      [](Twin& t, std::int64_t i, bool s) {
+        if (s) {
+          EXPECT_EQ(t.warp.load_scalar_f32(t.f32, i),
+                    0.25f * static_cast<float>(i));
+        } else {
+          WVec<std::int64_t> idx{};
+          idx[0] = i;
+          EXPECT_EQ(t.warp.load_f32(t.f32, idx, 0x1u)[0],
+                    0.25f * static_cast<float>(i));
+        }
+      },
+      [](Twin& t, std::int64_t i, bool s) {
+        WVec<std::int64_t> idx{};
+        idx[0] = i;
+        EXPECT_EQ(s ? t.warp.load_scalar_i32(t.i32, i)
+                    : t.warp.load_i32(t.i32, idx, 0x1u)[0],
+                  3 * i);
+      },
+      [](Twin& t, std::int64_t i, bool s) {
+        WVec<std::int64_t> idx{};
+        idx[0] = i;
+        EXPECT_EQ(s ? t.warp.load_scalar_i64(t.i64, i)
+                    : t.warp.load_i64(t.i64, idx, 0x1u)[0],
+                  5 * i);
+      },
+      [](Twin& t, std::int64_t i, bool s) {
+        WVec<std::int64_t> idx{};
+        idx[0] = i;
+        WVec<float> v{};
+        v[0] = -1.5f;
+        if (s)
+          t.warp.store_scalar_f32(t.f32, i, -1.5f);
+        else
+          t.warp.store_f32(t.f32, idx, v, 0x1u);
+      },
+      [](Twin& t, std::int64_t i, bool s) {
+        WVec<std::int64_t> idx{};
+        idx[0] = i;
+        WVec<float> v{};
+        v[0] = 2.0f;
+        if (s)
+          (void)t.warp.atomic_add_scalar_f32(t.f32, i, 2.0f);
+        else
+          t.warp.atomic_add_f32(t.f32, idx, v, 0x1u);
+      },
+  };
+  for (std::int64_t i = 0; i < 96; ++i) {
+    for (std::size_t k = 0; k < std::size(ops); ++k) {
+      if (i % 32 == 0) {
+        lane.sys.reset_caches();
+        one.sys.reset_caches();
+      }
+      ops[k](lane, i, false);
+      ops[k](one, i, true);
+      expect_twins_equal(lane, one, true, true,
+                         "op " + std::to_string(k) + " idx " + std::to_string(i));
+      if (HasFailure()) return;
+    }
+  }
+  // The u32 fetch-add has no lane twin: it must match a one-lane f32 atomic
+  // on the same word. Adding zero leaves both words' bits unchanged.
+  WVec<std::int64_t> idx{};
+  idx[0] = 7;
+  lane.warp.atomic_add_f32(lane.f32, idx, WVec<float>{}, 0x1u);
+  const DevPtr<std::uint32_t> alias{one.f32.byte_offset, one.f32.count};
+  EXPECT_EQ(one.warp.atomic_add_u32(alias, 7, 0),
+            std::bit_cast<std::uint32_t>(lane.sys.mem.view(lane.f32)[7]));
+  expect_twins_equal(lane, one, true, true, "atomic_add_u32");
+}
+
+// atomic_max prices exactly like atomic_add on the same conflicting
+// addresses: in one line and across several lines, full and partial masks.
+TEST(FrontEndEquivalence, AtomicMaxPricesLikeAtomicAdd) {
+  Twin add;
+  Twin max;
+  Rng rng(11);
+  WVec<float> val{};
+  for (int l = 0; l < kWarpSize; ++l)
+    val[static_cast<std::size_t>(l)] = static_cast<float>(l % 5);
+  for (int rep = 0; rep < 64; ++rep) {
+    WVec<std::int64_t> idx{};
+    for (int l = 0; l < kWarpSize; ++l) {
+      const auto k = static_cast<std::size_t>(l);
+      switch (rep % 4) {
+        case 0: idx[k] = rep; break;                         // one address
+        case 1: idx[k] = (l % 4) * 32 + rep % 8; break;      // 4 lines
+        case 2: idx[k] = l % 3 + 2 * (l % 2); break;         // one line
+        default:
+          idx[k] = static_cast<std::int64_t>(rng.next_below(48));
+      }
+    }
+    const Mask m = rep % 8 < 4 ? kFullMask : 0x0F0F33F1u;
+    add.warp.atomic_add_f32(add.f32, idx, val, m);
+    max.warp.atomic_max_f32(max.f32, idx, val, m);
+    expect_twins_equal(add, max, false, false, "rep " + std::to_string(rep));
+    if (HasFailure()) return;
+  }
+  EXPECT_GT(add.rec.atomic_stall_cycles, 0.0);
 }
 
 TEST(LaneHelpers, Masks) {
