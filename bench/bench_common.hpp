@@ -1,24 +1,19 @@
-// Shared harness code for the per-table/per-figure benchmark binaries.
+// Shared harness code for the table/figure/extension benches, all run by
+// tools/tlpbench (DESIGN.md §9).
 //
-// Every binary runs with no arguments using scaled-down dataset replicas
-// (see DESIGN.md §1) and accepts exactly this uniform flag set (unknown
-// flags are an error, exit code 2):
+// Each bench is a `BenchDef` whose entry point `int run(const Args&,
+// Reporter&)` receives tlpbench's own validated flags. Every bench reads the
+// shared set through BenchConfig::from_args:
 //   --max-edges N   replica edge cap (default varies per bench)
 //   --full          paper-scale replicas (slow!)
 //   --feature F     feature size override
 //   --seed S        experiment seed
-//   --json PATH     also write the machine-readable tlpbench report
-//   --help          print the flag set and exit
-// plus any bench-specific flags listed in its BenchDef (e.g. fig11's
-// --min-vertices). Each bench's entry point is `int run(const Args&,
-// Reporter&)`, registered via a BenchDef + TLP_BENCH_MAIN so the same code
-// serves both the standalone binary and the in-process `tools/tlpbench`
-// suite driver (bench/suite.hpp).
+// plus any flags its BenchDef lists (e.g. fig11's --min-vertices, shown by
+// `tlpbench --list`). bench/suite.hpp registers every bench.
 #pragma once
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
@@ -27,6 +22,7 @@
 #include "common/format.hpp"
 #include "common/table.hpp"
 #include "graph/datasets.hpp"
+#include "kernels/conv_common.hpp"
 #include "models/reference.hpp"
 #include "report/report.hpp"
 #include "systems/system.hpp"
@@ -42,10 +38,13 @@ struct BenchConfig {
                                std::int64_t default_max_edges,
                                std::int64_t default_feature) {
     BenchConfig cfg;
-    cfg.replica.max_edges = args.get_int("max-edges", default_max_edges);
+    cfg.replica.max_edges =
+        args.get_int_checked("max-edges", default_max_edges, 1);
     cfg.replica.full = args.get_bool("full", false);
-    cfg.replica.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
-    cfg.feature_size = args.get_int("feature", default_feature);
+    cfg.replica.seed =
+        static_cast<std::uint64_t>(args.get_int_checked("seed", 42, 0));
+    cfg.feature_size = args.get_int_checked("feature", default_feature, 1,
+                                            kernels::kMaxFeature);
     cfg.seed = cfg.replica.seed;
     return cfg;
   }
@@ -114,42 +113,31 @@ inline void print_header(const std::string& title, const std::string& setup) {
   std::printf("\n=== %s ===\n%s\n\n", title.c_str(), setup.c_str());
 }
 
-/// Structured-result sink handed to every bench entry point. When the bench
-/// runs without --json (and outside the suite driver) the reporter is
-/// disabled and all records go to a scratch slot, so benches record
-/// unconditionally.
+/// Structured-result sink handed to every bench entry point: appends the
+/// bench's config and records to its `report::BenchResult`.
 class Reporter {
  public:
-  Reporter() = default;
-  explicit Reporter(report::BenchResult* out) : out_(out) {}
-
-  [[nodiscard]] bool enabled() const { return out_ != nullptr; }
+  explicit Reporter(report::BenchResult& out) : out_(out) {}
 
   /// Records the effective bench config (shown in the JSON and the rendered
   /// EXPERIMENTS.md provenance).
   void set_config(const BenchConfig& cfg) {
-    if (out_ == nullptr) return;
-    out_->config = report::Json::object();
-    out_->config.set("max_edges", cfg.replica.max_edges);
-    out_->config.set("full", cfg.replica.full);
-    out_->config.set("feature", cfg.feature_size);
-    out_->config.set("seed", static_cast<std::int64_t>(cfg.seed));
+    out_.config = report::Json::object();
+    out_.config.set("max_edges", cfg.replica.max_edges);
+    out_.config.set("full", cfg.replica.full);
+    out_.config.set("feature", cfg.feature_size);
+    out_.config.set("seed", static_cast<std::int64_t>(cfg.seed));
   }
 
   /// Starts a record for one measured configuration; chain `.value(...)`.
   report::Record& add(const std::string& section, const std::string& dataset,
                       const std::string& variant) {
-    if (out_ == nullptr) {
-      scratch_ = report::Record{};
-      scratch_.variant = variant;
-      return scratch_;
-    }
     report::Record r;
     r.section = section;
     r.dataset = dataset;
     r.variant = variant;
-    out_->records.push_back(std::move(r));
-    return out_->records.back();
+    out_.records.push_back(std::move(r));
+    return out_.records.back();
   }
 
   /// Records the uniform metric set of one system run: timings, traffic,
@@ -178,25 +166,16 @@ class Reporter {
   }
 
  private:
-  report::BenchResult* out_ = nullptr;
-  report::Record scratch_;
+  report::BenchResult& out_;
 };
 
-/// One bench binary's registration: shared by its standalone main and the
-/// tools/tlpbench suite driver (bench/suite.cpp holds the full table).
+/// One bench's registration (bench/suite.cpp holds the full table).
 struct BenchDef {
   const char* name;         ///< suite id, e.g. "table1" (`tlpbench --only`)
   const char* title;        ///< one-line description
   int (*fn)(const Args& args, Reporter& rep);
-  const char* extra_flags;  ///< comma-separated flags beyond the common set
+  const char* extra_flags;  ///< comma-separated flags beyond the shared set
 };
-
-/// Flags every bench accepts (kept in sync with the header comment above).
-inline const std::vector<std::string>& common_flags() {
-  static const std::vector<std::string> flags{"max-edges", "full", "feature",
-                                              "seed",      "json", "help"};
-  return flags;
-}
 
 inline std::vector<std::string> split_csv(const std::string& csv) {
   std::vector<std::string> out;
@@ -207,69 +186,5 @@ inline std::vector<std::string> split_csv(const std::string& csv) {
   }
   return out;
 }
-
-inline void print_usage(const BenchDef& def, std::FILE* to) {
-  std::fprintf(to, "%s: %s\n", def.name, def.title);
-  std::fprintf(to,
-               "flags: --max-edges N  --full  --feature F  --seed S  "
-               "--json PATH  --help");
-  for (const std::string& f : split_csv(def.extra_flags))
-    std::fprintf(to, "  --%s", f.c_str());
-  std::fprintf(to, "\n");
-}
-
-/// Shared main() body for the standalone bench binaries: validate flags, run,
-/// and optionally write a one-bench tlpbench JSON document (--json PATH).
-inline int standalone_main(const BenchDef& def, int argc, char** argv) {
-  const Args args(argc, argv);
-  if (args.get_bool("help", false)) {
-    print_usage(def, stdout);
-    return 0;
-  }
-  std::vector<std::string> known = common_flags();
-  for (const std::string& f : split_csv(def.extra_flags)) known.push_back(f);
-  if (const auto unknown = args.first_unknown(known)) {
-    std::fprintf(stderr, "error: unknown flag --%s\n", unknown->c_str());
-    print_usage(def, stderr);
-    return 2;
-  }
-
-  report::BenchResult result;
-  result.name = def.name;
-  result.title = def.title;
-  Reporter rep(args.has("json") ? &result : nullptr);
-  int rc = 0;
-  try {
-    rc = def.fn(args, rep);
-  } catch (const UsageError& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  }
-  if (rc == 0 && args.has("json")) {
-    report::Report doc;
-    doc.seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
-    doc.benches.push_back(std::move(result));
-    const std::string path = args.get("json", "");
-    std::ofstream out(path, std::ios::binary);
-    if (!out) {
-      std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-      return 1;
-    }
-    out << doc.to_json().dump();
-  }
-  return rc;
-}
-
-// The suite library (tools/tlpbench) compiles every bench .cpp with
-// TLP_BENCH_SUITE_BUILD defined, turning the per-binary main() off; the
-// standalone executables compile the same file without it.
-#ifdef TLP_BENCH_SUITE_BUILD
-#define TLP_BENCH_MAIN(def)
-#else
-#define TLP_BENCH_MAIN(def)                     \
-  int main(int argc, char** argv) {             \
-    return tlp::bench::standalone_main(def, argc, argv); \
-  }
-#endif
 
 }  // namespace tlp::bench

@@ -21,7 +21,7 @@ int run(const Args& args, bench::Reporter& rep) {
   // Strong scaling needs many independent vertices per warp: the replicas
   // keep a large vertex population at the cost of density (see
   // ReplicaOptions::min_vertices).
-  cfg.replica.min_vertices = args.get_int("min-vertices", 50'000);
+  cfg.replica.min_vertices = args.get_int_checked("min-vertices", 50'000, 0);
   rep.set_config(cfg);
   bench::GraphCache graphs(cfg);
   const std::vector<int> block_counts{1, 2, 4, 8, 16, 32, 64, 128};
@@ -79,5 +79,3 @@ namespace tlp::bench {
 const BenchDef fig11_bench = {"fig11", "scalability vs thread count", &run,
                               "min-vertices"};
 }  // namespace tlp::bench
-
-TLP_BENCH_MAIN(tlp::bench::fig11_bench)

@@ -140,5 +140,3 @@ const BenchDef serve_bench{"serve",
                            run, "requests"};
 
 }  // namespace tlp::bench
-
-TLP_BENCH_MAIN(tlp::bench::serve_bench)

@@ -160,5 +160,3 @@ const BenchDef serve_cache_bench{
     "requests"};
 
 }  // namespace tlp::bench
-
-TLP_BENCH_MAIN(tlp::bench::serve_cache_bench)

@@ -75,5 +75,3 @@ namespace tlp::bench {
 const BenchDef table1_bench = {
     "table1", "impact of atomic operations (GCN, ovcar-8h replica)", &run, ""};
 }  // namespace tlp::bench
-
-TLP_BENCH_MAIN(tlp::bench::table1_bench)

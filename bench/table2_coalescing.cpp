@@ -96,5 +96,3 @@ namespace tlp::bench {
 const BenchDef table2_bench = {
     "table2", "coalesced memory access (GCN, pubmed replica)", &run, ""};
 }  // namespace tlp::bench
-
-TLP_BENCH_MAIN(tlp::bench::table2_bench)

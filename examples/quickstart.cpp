@@ -2,20 +2,33 @@
 // inspect the simulator's profile — the 60-second tour of the public API.
 //
 //   build/examples/quickstart [--vertices N] [--edges M] [--feature F]
+//
+// Exit codes: 0 ok, 1 bad flag value or a result that does not match the CPU
+// reference, 2 unknown flag. ctest runs it as `example_quickstart`.
 #include <cstdio>
+#include <limits>
 
+#include "common/check.hpp"
 #include "common/cli.hpp"
 #include "common/format.hpp"
 #include "core/engine.hpp"
 #include "graph/generators.hpp"
+#include "kernels/conv_common.hpp"
 #include "models/reference.hpp"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace tlp;
   const Args args(argc, argv);
-  const auto n = static_cast<graph::VertexId>(args.get_int("vertices", 10'000));
-  const auto m = args.get_int("edges", 80'000);
-  const std::int64_t f = args.get_int("feature", 32);
+  if (const auto unknown =
+          args.first_unknown({"vertices", "edges", "feature"})) {
+    std::fprintf(stderr, "error: unknown flag --%s\n", unknown->c_str());
+    return 2;
+  }
+  const auto n = static_cast<graph::VertexId>(args.get_int_checked(
+      "vertices", 10'000, 2, std::numeric_limits<graph::VertexId>::max()));
+  const auto m = args.get_int_checked("edges", 80'000, 0);
+  const std::int64_t f =
+      args.get_int_checked("feature", 32, 1, kernels::kMaxFeature);
 
   // 1. Build a graph. Real applications would load their own edge list and
   //    call graph::build_csr; here we synthesize a power-law graph.
@@ -50,7 +63,10 @@ int main(int argc, char** argv) {
   // 4. Check the result against the CPU reference (always true — the
   //    simulator computes, it does not approximate).
   const tensor::Tensor ref = models::reference_conv(g, feat, spec);
-  std::printf("matches CPU reference: %s\n",
-              tensor::allclose(result.output, ref, 1e-3, 1e-4) ? "yes" : "NO");
-  return 0;
+  const bool matches = tensor::allclose(result.output, ref, 1e-3, 1e-4);
+  std::printf("matches CPU reference: %s\n", matches ? "yes" : "NO");
+  return matches ? 0 : 1;
+} catch (const tlp::CheckError& e) {
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
 }

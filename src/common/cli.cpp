@@ -42,18 +42,6 @@ std::string Args::get(const std::string& name, const std::string& def) const {
   return it == named_.end() ? def : it->second;
 }
 
-std::int64_t Args::get_int(const std::string& name, std::int64_t def) const {
-  const auto it = named_.find(name);
-  if (it == named_.end()) return def;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
-}
-
-double Args::get_double(const std::string& name, double def) const {
-  const auto it = named_.find(name);
-  if (it == named_.end()) return def;
-  return std::strtod(it->second.c_str(), nullptr);
-}
-
 std::int64_t Args::get_int_checked(const std::string& name, std::int64_t def,
                                    std::int64_t lo, std::int64_t hi) const {
   const auto it = named_.find(name);

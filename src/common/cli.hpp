@@ -1,8 +1,9 @@
-// Minimal command-line parsing for bench/example binaries.
+// Minimal command-line parsing for the tools/ front ends, the benches they
+// run, and the quickstart example.
 //
-// Supports `--name value`, `--name=value`, and boolean `--flag`. Every bench
-// binary must run with no arguments (sensible defaults), so all options carry
-// defaults.
+// Supports `--name value`, `--name=value`, and boolean `--flag`. Every
+// program must run with no arguments (sensible defaults), so all options
+// carry defaults.
 #pragma once
 
 #include <cstdint>
@@ -34,16 +35,13 @@ class Args {
 
   [[nodiscard]] std::string get(const std::string& name,
                                 const std::string& def) const;
-  [[nodiscard]] std::int64_t get_int(const std::string& name,
-                                     std::int64_t def) const;
-  [[nodiscard]] double get_double(const std::string& name, double def) const;
   [[nodiscard]] bool get_bool(const std::string& name, bool def) const;
 
-  /// Strict variants for flags where a silent misparse is dangerous (fault
-  /// and serving knobs): the whole value must parse — "5x", "", "1e3" for an
-  /// int, or an overflowing literal all throw tlp::CheckError naming the
-  /// flag and the offending text — and the parsed value must land in
-  /// [lo, hi] (inclusive; the defaults disable the range check).
+  /// Numeric getters: the whole value must parse — "abc", "5x", "", "1e3"
+  /// for an int, or an overflowing literal all throw tlp::CheckError naming
+  /// the flag and the offending text — and the parsed value must land in
+  /// [lo, hi] (inclusive; the defaults disable the range check). Binaries
+  /// catch CheckError in main() and exit with status 1.
   [[nodiscard]] std::int64_t get_int_checked(
       const std::string& name, std::int64_t def,
       std::int64_t lo = std::numeric_limits<std::int64_t>::min(),

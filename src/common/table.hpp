@@ -1,5 +1,5 @@
-// Plain-text table rendering for the benchmark harness: every bench binary
-// prints the same rows/series the paper reports, via this printer.
+// Plain-text table rendering for the benchmark harness: every bench prints
+// the same rows/series the paper reports, via this printer.
 #pragma once
 
 #include <string>

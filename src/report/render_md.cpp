@@ -72,13 +72,13 @@ std::string config_line(const BenchResult& b) {
   return out;
 }
 
-/// Section header + config provenance; returns nullptr when the bench is
-/// missing from the report (section is skipped with a note).
+/// Section header (naming the tlpbench command that reruns the bench) +
+/// config provenance; returns nullptr when the bench is missing from the
+/// report (section is skipped with a note).
 const BenchResult* begin_section(std::string& md, const Report& rep,
                                  const std::string& bench,
-                                 const std::string& heading,
-                                 const std::string& binary) {
-  md += "## " + heading + " (`bench/" + binary + "`)\n\n";
+                                 const std::string& heading) {
+  md += "## " + heading + " (`tlpbench --only " + bench + "`)\n\n";
   const BenchResult* b = rep.find_bench(bench);
   if (b == nullptr) {
     md += "*Not present in this report (run `tools/tlpbench` without "
@@ -93,8 +93,7 @@ const BenchResult* begin_section(std::string& md, const Report& rep,
 
 void render_table1(std::string& md, const Report& rep) {
   const BenchResult* b =
-      begin_section(md, rep, "table1", "Table 1 — atomic operations",
-                    "table1_atomics");
+      begin_section(md, rep, "table1", "Table 1 — atomic operations");
   if (b == nullptr) return;
   const std::string ds = datasets_of(*b, "").empty()
                              ? std::string("OH")
@@ -142,8 +141,8 @@ void render_table1(std::string& md, const Report& rep) {
 }
 
 void render_table2(std::string& md, const Report& rep) {
-  const BenchResult* b = begin_section(
-      md, rep, "table2", "Table 2 — coalesced access", "table2_coalescing");
+  const BenchResult* b =
+      begin_section(md, rep, "table2", "Table 2 — coalesced access");
   if (b == nullptr) return;
   const std::string ds = "PD";
 
@@ -191,9 +190,8 @@ void render_table2(std::string& md, const Report& rep) {
 }
 
 void render_table3(std::string& md, const Report& rep) {
-  const BenchResult* b = begin_section(md, rep, "table3",
-                                       "Table 3 — kernel launches",
-                                       "table3_fusion");
+  const BenchResult* b =
+      begin_section(md, rep, "table3", "Table 3 — kernel launches");
   if (b == nullptr) return;
   const std::string ds = "RD";
   const std::vector<std::pair<std::string, std::string>> systems{
@@ -263,9 +261,8 @@ void render_table3(std::string& md, const Report& rep) {
 }
 
 void render_table5(std::string& md, const Report& rep) {
-  const BenchResult* b = begin_section(md, rep, "table5",
-                                       "Table 5 — main comparison",
-                                       "table5_main");
+  const BenchResult* b =
+      begin_section(md, rep, "table5", "Table 5 — main comparison");
   if (b == nullptr) return;
   md += "'-' mirrors the paper's support matrix (GNNAdvisor: GCN/GIN only, "
         "crashes on the four largest graphs).\n\n";
@@ -319,9 +316,8 @@ void render_table5(std::string& md, const Report& rep) {
 }
 
 void render_fig8(std::string& md, const Report& rep) {
-  const BenchResult* b = begin_section(
-      md, rep, "fig8", "Figure 8 — GNNAdvisor atomic writes",
-      "fig8_atomic_traffic");
+  const BenchResult* b =
+      begin_section(md, rep, "fig8", "Figure 8 — GNNAdvisor atomic writes");
   if (b == nullptr) return;
   std::vector<std::vector<std::string>> rows;
   for (const std::string& ds : datasets_of(*b, "")) {
@@ -339,9 +335,8 @@ void render_fig8(std::string& md, const Report& rep) {
 }
 
 void render_fig9(std::string& md, const Report& rep) {
-  const BenchResult* b = begin_section(md, rep, "fig9",
-                                       "Figure 9 — achieved occupancy",
-                                       "fig9_occupancy");
+  const BenchResult* b =
+      begin_section(md, rep, "fig9", "Figure 9 — achieved occupancy");
   if (b == nullptr) return;
   std::vector<std::vector<std::string>> rows;
   for (const std::string& ds : datasets_of(*b, "")) {
@@ -369,9 +364,8 @@ void render_fig9(std::string& md, const Report& rep) {
 }
 
 void render_fig10(std::string& md, const Report& rep) {
-  const BenchResult* b = begin_section(md, rep, "fig10",
-                                       "Figure 10 — technique ablation",
-                                       "fig10_ablation");
+  const BenchResult* b =
+      begin_section(md, rep, "fig10", "Figure 10 — technique ablation");
   if (b == nullptr) return;
   md += "Speedup over the edge-centric baseline; each column adds one "
         "technique.\n\n";
@@ -414,9 +408,8 @@ void render_fig10(std::string& md, const Report& rep) {
 }
 
 void render_fig11(std::string& md, const Report& rep) {
-  const BenchResult* b = begin_section(md, rep, "fig11",
-                                       "Figure 11 — thread-count scaling",
-                                       "fig11_thread_scaling");
+  const BenchResult* b =
+      begin_section(md, rep, "fig11", "Figure 11 — thread-count scaling");
   if (b == nullptr) return;
   md += "Speedup over a single block (512 threads/block), four largest "
         "replicas (strong-scaling replicas keep a 50K-vertex population; "
@@ -450,9 +443,8 @@ void render_fig11(std::string& md, const Report& rep) {
 }
 
 void render_fig12(std::string& md, const Report& rep) {
-  const BenchResult* b = begin_section(md, rep, "fig12",
-                                       "Figure 12 — feature-size scaling",
-                                       "fig12_feature_scaling");
+  const BenchResult* b =
+      begin_section(md, rep, "fig12", "Figure 12 — feature-size scaling");
   if (b == nullptr) return;
   md += "Runtime normalized to feature size 16, four largest replicas.\n\n";
   const std::vector<int> sizes{16, 32, 64, 128, 256, 512};
@@ -485,9 +477,8 @@ void render_fig12(std::string& md, const Report& rep) {
 }
 
 void render_tuning(std::string& md, const Report& rep) {
-  const BenchResult* b = begin_section(md, rep, "tuning",
-                                       "Extension — tuning ablations",
-                                       "ablation_tuning");
+  const BenchResult* b =
+      begin_section(md, rep, "tuning", "Extension — tuning ablations");
   if (b == nullptr) return;
   md += "Design-choice sweeps beyond the paper's figures (times in ms).\n\n";
 
@@ -562,8 +553,9 @@ std::string render_experiments_md(const Report& rep,
         "calibrated simulator, not the authors' V100; see DESIGN.md §1/§4). "
         "Default runs use scaled-down dataset replicas on a proportionally "
         "scaled-down GPU; every number below regenerates with "
-        "`tools/tlpbench` or the named binary (`--full` switches to "
-        "paper-scale replicas).\n\n";
+        "`tools/tlpbench`, and each section's heading names the "
+        "`--only` run that regenerates just that section (`--full` "
+        "switches to paper-scale replicas).\n\n";
 
   // --- shape-assertion summary ----------------------------------------------
   md += "## Shape summary\n\n";

@@ -1,9 +1,9 @@
-// tlpbench result model: the versioned JSON schema every benchmark binary
-// serializes into (DESIGN.md §9).
+// tlpbench result model: the versioned JSON schema every bench serializes
+// into (DESIGN.md §9).
 //
 // One *record* is a single measured configuration — (section, dataset,
 // variant) — holding a flat map of named metric values. One *BenchResult* is
-// all records one bench binary produced plus its effective config. A *Report*
+// all records one bench produced plus its effective config. A *Report*
 // merges the per-bench results of one suite run with schema + provenance.
 #pragma once
 
@@ -40,7 +40,7 @@ struct Record {
   static Record from_json(const Json& j);
 };
 
-/// All records one bench binary emitted, with the config that produced them.
+/// All records one bench emitted, with the config that produced them.
 struct BenchResult {
   std::string name;   ///< short bench id: "table1", "fig9", "tuning", ...
   std::string title;  ///< one-line human description

@@ -1,7 +1,10 @@
 # CLI regression check: unknown flags and enum values must be
 # usage errors — exit code 2 and a diagnostic that names the flag — across
 # every tool, never silently ignored, never a fall-through to a default, and
-# never a generic CheckError (exit 1). Invoked by ctest as
+# never a generic CheckError (exit 1). A malformed or out-of-range numeric
+# value is a CheckError: exit 1 with a diagnostic, never a crash and never a
+# run with a misparsed value. A bench's own flag reaches the bench. Invoked
+# by ctest as
 #   cmake -DTLPBENCH=... -DTLPGNN_CLI=... -DTLPSERVE=... -DBASELINE=...
 #         -P check_cli_enums.cmake
 
@@ -99,3 +102,60 @@ if(NOT rc5 EQUAL 0)
           "tlpgnn_cli gen --format bin: expected exit 0, got ${rc5} (${err5})")
 endif()
 file(REMOVE "${gen_bin}")
+
+# Case 6: a bench's own flag reaches it through tlpbench: the serve bench
+# runs the requested traffic length, not its default of 120.
+set(requests_report "${CMAKE_CURRENT_BINARY_DIR}/cli_enums_requests.json")
+execute_process(
+  COMMAND "${TLPBENCH}" --only serve --max-edges 20000 --requests 7
+          --no-assert --out "${requests_report}"
+  RESULT_VARIABLE rc6
+  OUTPUT_VARIABLE out6
+  ERROR_VARIABLE err6)
+if(NOT rc6 EQUAL 0)
+  message(FATAL_ERROR "tlpbench --requests 7: expected exit 0, got ${rc6} "
+                      "(${err6})")
+endif()
+if(NOT out6 MATCHES "\\| 7 requests")
+  message(FATAL_ERROR
+          "tlpbench --only serve --requests 7: the serve bench did not run "
+          "7 requests, got: ${out6}")
+endif()
+file(REMOVE "${requests_report}")
+
+# Case 7: a malformed numeric value is rejected before the bench runs on a
+# misparsed replica: exit 1, the diagnostic names the flag, no report.
+set(bad_edges_report "${CMAKE_CURRENT_BINARY_DIR}/cli_enums_bad_edges.json")
+file(REMOVE "${bad_edges_report}")
+execute_process(
+  COMMAND "${TLPBENCH}" --only table1 --max-edges abc
+          --out "${bad_edges_report}" --baseline "${BASELINE}"
+  RESULT_VARIABLE rc7
+  ERROR_VARIABLE err7
+  OUTPUT_QUIET)
+if(NOT rc7 EQUAL 1)
+  message(FATAL_ERROR "tlpbench --max-edges abc: expected exit 1, got ${rc7}")
+endif()
+if(NOT err7 MATCHES "max-edges")
+  message(FATAL_ERROR
+          "tlpbench --max-edges abc: diagnostic must name the flag, got: "
+          "${err7}")
+endif()
+if(EXISTS "${bad_edges_report}")
+  message(FATAL_ERROR "rejected tlpbench run wrote a report; it must not")
+endif()
+
+# Case 8: an out-of-range value exits 1 with a diagnostic, not SIGABRT (134).
+execute_process(
+  COMMAND "${TLPBENCH}" --only table1 --max-edges 5000 --seed -1
+          --out "${bad_edges_report}" --baseline "${BASELINE}"
+  RESULT_VARIABLE rc8
+  ERROR_VARIABLE err8
+  OUTPUT_QUIET)
+if(NOT rc8 EQUAL 1)
+  message(FATAL_ERROR "tlpbench --seed -1: expected exit 1, got ${rc8}")
+endif()
+if(NOT err8 MATCHES "seed")
+  message(FATAL_ERROR
+          "tlpbench --seed -1: diagnostic must name the flag, got: ${err8}")
+endif()

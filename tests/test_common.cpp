@@ -174,10 +174,10 @@ TEST(Cli, ParsesNamedAndPositional) {
   const char* argv[] = {"prog", "pos1", "--alpha", "2.5", "--name=x",
                         "--flag"};
   Args args(6, argv);
-  EXPECT_DOUBLE_EQ(args.get_double("alpha", 0), 2.5);
+  EXPECT_DOUBLE_EQ(args.get_double_checked("alpha", 0), 2.5);
   EXPECT_TRUE(args.get_bool("flag", false));
   EXPECT_EQ(args.get("name", ""), "x");
-  EXPECT_EQ(args.get_int("missing", 7), 7);
+  EXPECT_EQ(args.get_int_checked("missing", 7), 7);
   ASSERT_EQ(args.positional().size(), 1u);
   EXPECT_EQ(args.positional()[0], "pos1");
   // Every passed flag is known (extra known names are fine).

@@ -73,7 +73,8 @@ TEST(Engine, CustomGpuSpecPropagates) {
 }
 
 TEST(Engine, TwoLayerPipelineRuns) {
-  // A small end-to-end 2-layer GCN forward pass, as in the examples.
+  // A small end-to-end two-layer GCN node-classification pass: dense
+  // transform -> convolution -> activation per layer, softmax readout.
   Rng rng(5);
   const graph::Csr g = graph::power_law(150, 800, 2.3, rng);
   const Tensor x = Tensor::random(g.num_vertices(), 32, rng);

@@ -3,9 +3,12 @@
 //   tlpbench                         # run the full suite, write BENCH_<date>.json,
 //                                    # check bench/baseline.json shape assertions
 //   tlpbench --only table1,fig9      # subset by suite id
-//   tlpbench --list                  # show the registered benches
+//   tlpbench --list                  # show the registered benches and
+//                                    # the flags each one takes
 //   tlpbench --seed 7 --max-edges 50000 --feature 64 --full
-//                                    # global overrides forwarded to every bench
+//                                    # shared flags every bench reads
+//   tlpbench --only serve --requests 60
+//                                    # a bench's own flag (see --list)
 //   tlpbench --out results.json      # merged-report path
 //   tlpbench --no-assert             # skip the baseline shape check
 //   tlpbench --update-baseline       # refresh baseline.json's results snapshot
@@ -16,11 +19,14 @@
 //   tlpbench --check-md EXPERIMENTS.md    # doc-drift gate: exit 1 unless the
 //                                         # committed file is byte-identical
 //
-// Exit codes: 0 ok, 1 shape-assertion failure / drift / IO error, 2 usage.
+// Exit codes: 0 ok, 1 shape-assertion failure / drift / IO error / bad
+// flag value, 2 usage.
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstring>
 #include <ctime>
 #include <fstream>
 #include <sstream>
@@ -28,6 +34,7 @@
 #include <vector>
 
 #include "suite.hpp"
+#include "common/check.hpp"
 #include "report/render_md.hpp"
 #include "report/shapes.hpp"
 
@@ -50,7 +57,8 @@ void usage(std::FILE* to) {
       "               [--no-assert] [--update-baseline]\n"
       "render mode:   tlpbench --render-md [PATH] [--from REPORT.json]\n"
       "doc gate:      tlpbench --check-md EXPERIMENTS.md\n"
-      "introspection: tlpbench --list\n");
+      "introspection: tlpbench --list\n"
+      "bench flags:   a bench's own flags (--list shows them) go to it\n");
 }
 
 std::string read_file(const std::string& path) {
@@ -158,18 +166,6 @@ int run_mode(const Args& args) {
     return 2;
   }
 
-  // Forward the global overrides to every bench as its own argv.
-  std::vector<std::string> fwd{"bench"};
-  for (const char* flag : {"seed", "max-edges", "feature"}) {
-    if (args.has(flag))
-      fwd.push_back("--" + std::string(flag) + "=" + args.get(flag, ""));
-  }
-  if (args.get_bool("full", false)) fwd.emplace_back("--full");
-  std::vector<const char*> argv;
-  argv.reserve(fwd.size());
-  for (const std::string& s : fwd) argv.push_back(s.c_str());
-  const Args bench_args(static_cast<int>(argv.size()), argv.data());
-
   report::Report merged;
   merged.seed = static_cast<std::uint64_t>(
       args.get_int_checked("seed", 42, 0));
@@ -189,9 +185,9 @@ int run_mode(const Args& args) {
     report::BenchResult result;
     result.name = def->name;
     result.title = def->title;
-    bench::Reporter rep(&result);
+    bench::Reporter rep(result);
     const auto bench_start = std::chrono::steady_clock::now();
-    const int rc = def->fn(bench_args, rep);
+    const int rc = def->fn(args, rep);
     wall_ms.emplace_back(
         def->name,
         std::chrono::duration<double, std::milli>(
@@ -316,8 +312,8 @@ int main(int argc, char** argv) {
     usage(stdout);
     return 0;
   }
-  // The common flags plus every registered bench's extra flags (they pass
-  // through Args to the bench's run(), e.g. serve's --requests).
+  // The shared flags plus every registered bench's own flags (each bench's
+  // run() reads them from these Args, e.g. serve's --requests).
   std::vector<std::string> known = kFlags;
   for (const bench::BenchDef* def : bench::all_benches()) {
     for (const std::string& f : bench::split_csv(def->extra_flags)) {
@@ -332,8 +328,14 @@ int main(int argc, char** argv) {
 
   if (args.get_bool("list", false)) {
     std::printf("registered benches (tlpbench --only <name,...>):\n");
+    int width = 0;
+    for (const bench::BenchDef* def : bench::all_benches())
+      width = std::max(width, static_cast<int>(std::strlen(def->name)));
     for (const bench::BenchDef* def : bench::all_benches()) {
-      std::printf("  %-8s %s\n", def->name, def->title);
+      std::printf("  %-*s %s", width, def->name, def->title);
+      for (const std::string& f : bench::split_csv(def->extra_flags))
+        std::printf("  [--%s N]", f.c_str());
+      std::printf("\n");
     }
     std::printf("(micro_sim is standalone: google-benchmark, own JSON "
                 "format)\n");
@@ -397,5 +399,8 @@ int main(int argc, char** argv) {
   } catch (const UsageError& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
+  } catch (const CheckError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
   }
 }
