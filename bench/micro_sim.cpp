@@ -1,6 +1,6 @@
 // google-benchmark micro suite for the simulator substrate itself: the §3
 // mechanisms (coalescing, atomics, launches) at kernel-op granularity, plus
-// host-side substrate throughput (generators, cache model) and the fixed
+// host-side substrate throughput (generators, CSR build, cache model) and the fixed
 // per-run and per-request costs of serving (device reset, ego extraction)
 // and of a sweep job (a fresh device's arena).
 #include <benchmark/benchmark.h>
@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "graph/builder.hpp"
 #include "graph/datasets.hpp"
 #include "graph/generators.hpp"
 #include "kernels/conv_common.hpp"
@@ -243,6 +244,38 @@ void BM_PowerLawGenerator(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0) * 10);
 }
 BENCHMARK(BM_PowerLawGenerator)->Arg(1000)->Arg(20000);
+
+// build_csr on the edge lists its callers hand it. Arg 0: replica synthesis,
+// a shuffled 1M-edge power-law list. Arg 1: serving, the presorted dst-major
+// list of the 2-hop ego around the PD replica's largest hub, capped at 512
+// vertices. Each iteration copies the list in, since build_csr takes it by
+// value.
+void BM_BuildCsr(benchmark::State& state) {
+  Rng rng(6);
+  graph::Csr g;
+  if (state.range(0) == 0) {
+    g = graph::power_law(100'000, 1'000'000, 2.2, rng);
+  } else {
+    const graph::Csr pd = graph::make_dataset(graph::dataset_by_abbr("PD"));
+    graph::VertexId hub = 0;
+    for (graph::VertexId v = 1; v < pd.num_vertices(); ++v)
+      if (pd.degree(v) > pd.degree(hub)) hub = v;
+    g = serve::ego_subgraph(pd, hub, 2, 512).csr;
+  }
+  std::vector<graph::Edge> edges = graph::to_edge_list(g);
+  if (state.range(0) == 0) {
+    for (std::size_t i = edges.size() - 1; i > 0; --i)
+      std::swap(edges[i], edges[rng.next_below(i + 1)]);
+  }
+  for (auto _ : state) {
+    const graph::Csr out = graph::build_csr(g.num_vertices(), edges, {.dedup = false});
+    benchmark::DoNotOptimize(out.indices().data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(edges.size()));
+  state.counters["edges"] = static_cast<double>(edges.size());
+}
+BENCHMARK(BM_BuildCsr)->Arg(0)->Arg(1);
 
 // Per-request ego extraction of the serving tier: 2-hop egos capped at 512
 // vertices around seeded query vertices of the PD replica.

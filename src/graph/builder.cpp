@@ -1,7 +1,5 @@
 #include "graph/builder.hpp"
 
-#include <algorithm>
-
 #include "common/check.hpp"
 
 namespace tlp::graph {
@@ -14,33 +12,69 @@ Csr build_csr(VertexId num_vertices, std::vector<Edge> edges,
                       e.dst < num_vertices,
                   "edge (" << e.src << "," << e.dst << ") out of range");
   }
-  if (opts.drop_self_loops) {
-    std::erase_if(edges, [](const Edge& e) { return e.src == e.dst; });
-  }
-  if (opts.symmetrize) {
-    const std::size_t m = edges.size();
-    edges.reserve(2 * m);
-    for (std::size_t i = 0; i < m; ++i)
-      edges.push_back({edges[i].dst, edges[i].src});
+  const auto n = static_cast<std::size_t>(num_vertices);
+  const auto kept = [&](const Edge& e) {
+    return !(opts.drop_self_loops && e.src == e.dst);
+  };
+  // Pass 1: bucket every edge by its source (a counting sort). Symmetrized
+  // reverses and added self loops go straight into their buckets. As in
+  // graph::transpose, counts sit two slots up and the last bucket's is
+  // skipped, so after the prefix sum by_src[s + 1] is where bucket s
+  // starts: it serves as the bucket's cursor and ends as its end.
+  std::vector<EdgeOffset> by_src(n + 1, 0);
+  const auto count = [&](VertexId s) {
+    const auto slot = static_cast<std::size_t>(s) + 2;
+    if (slot <= n) by_src[slot]++;
+  };
+  EdgeOffset kept_edges = 0;
+  for (const Edge& e : edges) {
+    if (!kept(e)) continue;
+    count(e.src);
+    if (opts.symmetrize) count(e.dst);
+    kept_edges += opts.symmetrize ? 2 : 1;
   }
   if (opts.add_self_loops) {
-    for (VertexId v = 0; v < num_vertices; ++v) edges.push_back({v, v});
+    for (VertexId v = 0; v < num_vertices; ++v) count(v);
+    kept_edges += num_vertices;
   }
-  // Pull CSR: group by destination, then by source within a row.
-  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
-    return a.dst != b.dst ? a.dst < b.dst : a.src < b.src;
-  });
-  if (opts.dedup) {
-    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-  }
-  std::vector<EdgeOffset> indptr(static_cast<std::size_t>(num_vertices) + 1, 0);
-  std::vector<VertexId> indices;
-  indices.reserve(edges.size());
+  for (std::size_t i = 2; i <= n; ++i) by_src[i] += by_src[i - 1];
+  std::vector<VertexId> dsts(static_cast<std::size_t>(kept_edges));
+  const auto put = [&](VertexId s, VertexId d) {
+    dsts[static_cast<std::size_t>(by_src[static_cast<std::size_t>(s) + 1]++)] = d;
+  };
   for (const Edge& e : edges) {
-    indptr[static_cast<std::size_t>(e.dst) + 1]++;
-    indices.push_back(e.src);
+    if (!kept(e)) continue;
+    put(e.src, e.dst);
+    if (opts.symmetrize) put(e.dst, e.src);
   }
-  for (std::size_t i = 1; i < indptr.size(); ++i) indptr[i] += indptr[i - 1];
+  if (opts.add_self_loops) {
+    for (VertexId v = 0; v < num_vertices; ++v) put(v, v);
+  }
+  // Freed before the second |E| array, so the peak stays at one edge list
+  // plus one |E| array.
+  std::vector<Edge>().swap(edges);
+  // Pass 2: walk the sources in increasing order and append each to its
+  // destination's row, so every row comes out sorted.
+  std::vector<EdgeOffset> indptr;
+  std::vector<VertexId> indices;
+  transpose(by_src, dsts, indptr, indices);
+  std::vector<VertexId>().swap(dsts);
+  if (opts.dedup) {
+    // Rows are sorted, so each duplicate sits right after its first copy.
+    std::size_t w = 0;
+    for (std::size_t v = 0; v < n; ++v) {
+      const std::size_t row_start = w;
+      const auto begin = static_cast<std::size_t>(indptr[v]);
+      const auto end = static_cast<std::size_t>(indptr[v + 1]);
+      indptr[v] = static_cast<EdgeOffset>(row_start);
+      for (std::size_t k = begin; k < end; ++k) {
+        if (w == row_start || indices[w - 1] != indices[k]) indices[w++] = indices[k];
+      }
+    }
+    indptr[n] = static_cast<EdgeOffset>(w);
+    indices.resize(w);
+    indices.shrink_to_fit();
+  }
   return Csr(std::move(indptr), std::move(indices));
 }
 

@@ -1,5 +1,5 @@
 // Edge-list to CSR construction with the cleanup passes real loaders need:
-// sorting, duplicate removal, self-loop handling, and symmetrization.
+// row ordering, duplicate removal, self-loop handling, and symmetrization.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +23,11 @@ struct BuildOptions {
 };
 
 /// Builds the *pull-direction* CSR: row v holds sources of edges into v.
-/// Edges are interpreted as src -> dst messages.
+/// Edges are interpreted as src -> dst messages. Each row lists its sources
+/// in increasing order, duplicates adjacent (the (dst, src) order of a
+/// comparison sort), whatever the order of `edges`. Two counting passes,
+/// by source and then by destination (see graph::transpose), make the cost
+/// O(|V| + |E|) with no comparison sort.
 Csr build_csr(VertexId num_vertices, std::vector<Edge> edges,
               const BuildOptions& opts = {});
 

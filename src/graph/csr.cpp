@@ -20,22 +20,34 @@ EdgeOffset Csr::max_degree() const {
 }
 
 Csr Csr::reversed() const {
-  const VertexId n = num_vertices();
-  std::vector<EdgeOffset> rptr(static_cast<std::size_t>(n) + 1, 0);
-  for (const VertexId u : indices_) rptr[static_cast<std::size_t>(u) + 1]++;
-  for (std::size_t i = 1; i < rptr.size(); ++i) rptr[i] += rptr[i - 1];
-  std::vector<VertexId> ridx(indices_.size());
-  std::vector<EdgeOffset> cursor(rptr.begin(), rptr.end() - 1);
-  for (VertexId v = 0; v < n; ++v) {
-    for (const VertexId u : neighbors(v)) {
-      ridx[static_cast<std::size_t>(cursor[static_cast<std::size_t>(u)]++)] = v;
-    }
-  }
   Csr out;
-  out.indptr_ = std::move(rptr);
-  out.indices_ = std::move(ridx);
-  // Row contents are appended in increasing source order, so rows stay sorted.
+  transpose(indptr_, indices_, out.indptr_, out.indices_);
   return out;
+}
+
+void transpose(std::span<const EdgeOffset> indptr,
+               std::span<const VertexId> indices,
+               std::vector<EdgeOffset>& out_indptr,
+               std::vector<VertexId>& out_indices) {
+  const std::size_t n = indptr.empty() ? 0 : indptr.size() - 1;
+  // Counts sit two slots up, and no row starts after the last one, so its
+  // count is skipped. After the prefix sum out_indptr[c + 1] is where row c
+  // starts: it serves as row c's cursor and ends as its end.
+  out_indptr.assign(n + 1, 0);
+  for (const VertexId c : indices) {
+    const auto slot = static_cast<std::size_t>(c) + 2;
+    if (slot <= n) out_indptr[slot]++;
+  }
+  for (std::size_t i = 2; i <= n; ++i) out_indptr[i] += out_indptr[i - 1];
+  out_indices.resize(indices.size());
+  EdgeOffset* const cursor = out_indptr.data() + 1;
+  VertexId* const out = out_indices.data();
+  for (std::size_t r = 0; r < n; ++r) {
+    const auto row = static_cast<VertexId>(r);
+    const auto end = static_cast<std::size_t>(indptr[r + 1]);
+    for (auto k = static_cast<std::size_t>(indptr[r]); k < end; ++k)
+      out[cursor[indices[k]]++] = row;
+  }
 }
 
 bool Csr::rows_sorted() const {

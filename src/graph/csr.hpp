@@ -47,7 +47,8 @@ class Csr {
   [[nodiscard]] std::span<const EdgeOffset> indptr() const { return indptr_; }
   [[nodiscard]] std::span<const VertexId> indices() const { return indices_; }
 
-  /// Graph with every edge direction flipped (in-CSR <-> out-CSR).
+  /// Graph with every edge direction flipped (in-CSR <-> out-CSR). Rows
+  /// come out sorted, whatever the order of this graph's rows.
   [[nodiscard]] Csr reversed() const;
 
   /// True if each row's neighbor list is sorted ascending.
@@ -64,5 +65,16 @@ class Csr {
   std::vector<EdgeOffset> indptr_;
   std::vector<VertexId> indices_;
 };
+
+/// The counting scatter behind Csr::reversed and build_csr. `indptr` and
+/// `indices` hold n = indptr.size()-1 rows (none if `indptr` is empty), whose
+/// entries lie in [0, n). On return, row c of (`out_indptr`, `out_indices`)
+/// lists, in increasing order and once per occurrence, every row r that holds
+/// c: rows are walked in increasing order and each entry is appended to its
+/// target row, so the input rows may be in any order. O(n + |indices|).
+void transpose(std::span<const EdgeOffset> indptr,
+               std::span<const VertexId> indices,
+               std::vector<EdgeOffset>& out_indptr,
+               std::vector<VertexId>& out_indices);
 
 }  // namespace tlp::graph

@@ -16,36 +16,39 @@ namespace {
 // strategy handles that identically.
 constexpr BuildOptions kGenBuild{.dedup = false, .drop_self_loops = true};
 
-}  // namespace
-
-Csr erdos_renyi(VertexId n, EdgeOffset m, Rng& rng) {
-  TLP_CHECK(n >= 2 && m >= 0);
-  std::vector<Edge> edges;
-  edges.reserve(static_cast<std::size_t>(m));
-  while (static_cast<EdgeOffset>(edges.size()) < m) {
-    const auto s = static_cast<VertexId>(rng.next_below(static_cast<std::uint64_t>(n)));
-    const auto d = static_cast<VertexId>(rng.next_below(static_cast<std::uint64_t>(n)));
-    if (s != d) edges.push_back({s, d});
-  }
-  return build_csr(n, std::move(edges), kGenBuild);
-}
-
-Csr power_law(VertexId n, EdgeOffset m, double alpha, Rng& rng,
-              EdgeOffset max_degree) {
-  TLP_CHECK(n >= 2 && m >= 0 && alpha > 1.0);
+// The edge draw of power_law, whose arguments it has checked. Its draw state
+// (weights, guide table, labels, in-degrees) is freed on return, before
+// build_csr allocates.
+std::vector<Edge> chung_lu_edges(VertexId n, EdgeOffset m, double alpha,
+                                 Rng& rng, EdgeOffset max_degree) {
   // Chung–Lu: endpoint i drawn with probability proportional to
   // w_i = (i+1)^(-gamma), gamma = 1/(alpha-1). Cumulative weights + binary
   // search keeps the generator exact for any gamma.
   const double gamma = 1.0 / (alpha - 1.0);
-  std::vector<double> cum(static_cast<std::size_t>(n));
+  const auto un = static_cast<std::size_t>(n);
+  std::vector<double> cum(un);
   double total = 0.0;
   for (VertexId i = 0; i < n; ++i) {
     total += std::pow(static_cast<double>(i) + 1.0, -gamma);
     cum[static_cast<std::size_t>(i)] = total;
   }
+  // Guide table (Chen & Asau): bucket() is monotone and guide[b] counts the
+  // cum entries whose bucket is below b, so for b = bucket(u) the first
+  // entry above u lies in [guide[b], guide[b+1]]. Searching only there
+  // returns the index a search of the whole array would, for every u.
+  const double scale = static_cast<double>(n) / total;
+  const auto bucket = [&](double x) {
+    return std::min(static_cast<std::size_t>(x * scale), un - 1);
+  };
+  std::vector<std::size_t> guide(un + 1, 0);
+  for (const double c : cum) guide[bucket(c) + 1]++;
+  for (std::size_t b = 1; b <= un; ++b) guide[b] += guide[b - 1];
   auto draw = [&]() -> VertexId {
     const double u = rng.next_double() * total;
-    const auto it = std::upper_bound(cum.begin(), cum.end(), u);
+    const std::size_t b = bucket(u);
+    const auto first = cum.begin() + static_cast<std::ptrdiff_t>(guide[b]);
+    const auto last = cum.begin() + static_cast<std::ptrdiff_t>(guide[b + 1]);
+    const auto it = std::upper_bound(first, last, u);
     return static_cast<VertexId>(std::min<std::ptrdiff_t>(
         it - cum.begin(), static_cast<std::ptrdiff_t>(n) - 1));
   };
@@ -80,7 +83,33 @@ Csr power_law(VertexId n, EdgeOffset m, double alpha, Rng& rng,
       indeg[static_cast<std::size_t>(d)]++;
     }
   }
+  return edges;
+}
+
+}  // namespace
+
+Csr erdos_renyi(VertexId n, EdgeOffset m, Rng& rng) {
+  TLP_CHECK(n >= 2 && m >= 0);
+  std::vector<Edge> edges;
+  edges.reserve(static_cast<std::size_t>(m));
+  while (static_cast<EdgeOffset>(edges.size()) < m) {
+    const auto s = static_cast<VertexId>(rng.next_below(static_cast<std::uint64_t>(n)));
+    const auto d = static_cast<VertexId>(rng.next_below(static_cast<std::uint64_t>(n)));
+    if (s != d) edges.push_back({s, d});
+  }
   return build_csr(n, std::move(edges), kGenBuild);
+}
+
+Csr power_law(VertexId n, EdgeOffset m, double alpha, Rng& rng,
+              EdgeOffset max_degree) {
+  TLP_CHECK(n >= 2 && m >= 0 && alpha > 1.0);
+  // Under a cap at most max_degree * n edges fit; asking for more would
+  // leave the redirect loop spinning once every vertex is saturated.
+  TLP_CHECK_MSG(max_degree <= 0 || m / n + (m % n != 0 ? 1 : 0) <= max_degree,
+                "power_law: m=" << m << " edges do not fit n=" << n
+                                << " vertices under in-degree cap "
+                                << max_degree);
+  return build_csr(n, chung_lu_edges(n, m, alpha, rng, max_degree), kGenBuild);
 }
 
 Csr rmat(VertexId n, EdgeOffset m, Rng& rng, double a, double b, double c) {

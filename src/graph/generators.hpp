@@ -14,14 +14,16 @@
 
 namespace tlp::graph {
 
-/// G(n, m): m distinct uniform random directed edges (no self loops).
+/// G(n, m): m uniform random directed edges, no self loops. Duplicates are
+/// kept (multigraph semantics, see generators.cpp), so m may exceed n(n-1).
 Csr erdos_renyi(VertexId n, EdgeOffset m, Rng& rng);
 
 /// Chung–Lu model with a power-law expected-degree sequence of exponent
 /// `alpha` (typical social graphs: 2.0–2.5). Produces ~m edges total.
 /// `max_degree` caps any vertex's in-degree (0 = uncapped) — real GNN
 /// benchmark graphs (e.g. the GraphSAGE Reddit crawl) have bounded hubs,
-/// roughly tens of times the average degree.
+/// roughly tens of times the average degree. Throws CheckError when the cap
+/// leaves room for fewer than m edges (max_degree * n < m).
 Csr power_law(VertexId n, EdgeOffset m, double alpha, Rng& rng,
               EdgeOffset max_degree = 0);
 

@@ -1,7 +1,11 @@
 // Unit tests for the CSR container and the edge-list builder.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/check.hpp"
+#include "common/rng.hpp"
 #include "graph/builder.hpp"
 #include "graph/csr.hpp"
 
@@ -104,6 +108,90 @@ TEST(Builder, EdgeListRoundTrip) {
   const Csr g2 = build_csr(4, edges);
   EXPECT_EQ(std::vector(g.indices().begin(), g.indices().end()),
             std::vector(g2.indices().begin(), g2.indices().end()));
+}
+
+// The comparison-sort builder: the cleanup passes in order, then a sort by
+// (dst, src) and std::unique. build_csr must match it bit for bit.
+Csr oracle_csr(VertexId n, std::vector<Edge> edges, const BuildOptions& opts) {
+  if (opts.drop_self_loops) {
+    std::erase_if(edges, [](const Edge& e) { return e.src == e.dst; });
+  }
+  if (opts.symmetrize) {
+    const std::size_t m = edges.size();
+    edges.reserve(2 * m);
+    for (std::size_t i = 0; i < m; ++i)
+      edges.push_back({edges[i].dst, edges[i].src});
+  }
+  if (opts.add_self_loops) {
+    for (VertexId v = 0; v < n; ++v) edges.push_back({v, v});
+  }
+  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
+    return a.dst != b.dst ? a.dst < b.dst : a.src < b.src;
+  });
+  if (opts.dedup) edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  std::vector<EdgeOffset> indptr(static_cast<std::size_t>(n) + 1, 0);
+  std::vector<VertexId> indices;
+  for (const Edge& e : edges) {
+    indptr[static_cast<std::size_t>(e.dst) + 1]++;
+    indices.push_back(e.src);
+  }
+  for (std::size_t i = 1; i < indptr.size(); ++i) indptr[i] += indptr[i - 1];
+  return Csr(std::move(indptr), std::move(indices));
+}
+
+void expect_same(const Csr& got, const Csr& want) {
+  EXPECT_EQ(std::vector(got.indptr().begin(), got.indptr().end()),
+            std::vector(want.indptr().begin(), want.indptr().end()));
+  EXPECT_EQ(std::vector(got.indices().begin(), got.indices().end()),
+            std::vector(want.indices().begin(), want.indices().end()));
+}
+
+TEST(Builder, MatchesComparisonSortOracle) {
+  const auto by_dst_src = [](const Edge& a, const Edge& b) {
+    return a.dst != b.dst ? a.dst < b.dst : a.src < b.src;
+  };
+  Rng rng(17);
+  for (const VertexId n : {0, 1, 2, 7, 300}) {
+    const auto pick = [&](VertexId below) {
+      return static_cast<VertexId>(
+          rng.next_below(static_cast<std::uint64_t>(below)));
+    };
+    std::vector<std::vector<Edge>> lists{{}};
+    if (n > 0) {
+      // Uniform edges, with self loops wherever they land.
+      std::vector<Edge> uniform(static_cast<std::size_t>(8 * n + 5));
+      for (Edge& e : uniform) e = {pick(n), pick(n)};
+      // Heavy duplicates: every endpoint among the first three ids, a hub
+      // row fed from a handful of sources, and vertex 0 feeding every row
+      // twice, so neighbouring rows end and start with the same source.
+      std::vector<Edge> dups(static_cast<std::size_t>(6 * n + 20));
+      const VertexId few = std::min<VertexId>(n, 3);
+      for (Edge& e : dups) e = {pick(few), pick(few)};
+      for (int i = 0; i < 40; ++i) dups.push_back({pick(few), n - 1});
+      for (VertexId v = 0; v < n; ++v) dups.insert(dups.end(), 2, {0, v});
+      std::vector<Edge> sorted = uniform;
+      std::sort(sorted.begin(), sorted.end(), by_dst_src);
+      std::vector<Edge> reverse_sorted(sorted.rbegin(), sorted.rend());
+      lists.insert(lists.end(), {uniform, dups, sorted, reverse_sorted});
+    }
+    for (const std::vector<Edge>& edges : lists) {
+      for (int bits = 0; bits < 16; ++bits) {
+        const BuildOptions opts{.dedup = (bits & 1) != 0,
+                                .drop_self_loops = (bits & 2) != 0,
+                                .add_self_loops = (bits & 4) != 0,
+                                .symmetrize = (bits & 8) != 0};
+        SCOPED_TRACE("n=" + std::to_string(n) + " |E|=" +
+                     std::to_string(edges.size()) + " options=" +
+                     std::to_string(bits));
+        const Csr got = build_csr(n, edges, opts);
+        expect_same(got, oracle_csr(n, edges, opts));
+        // reversed() runs the same scatter over rows already in order.
+        std::vector<Edge> flipped;
+        for (const Edge& e : to_edge_list(got)) flipped.push_back({e.dst, e.src});
+        expect_same(got.reversed(), oracle_csr(n, flipped, {.dedup = false}));
+      }
+    }
+  }
 }
 
 TEST(Csr, SummaryMentionsCounts) {

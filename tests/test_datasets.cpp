@@ -68,14 +68,23 @@ TEST(Datasets, ReplicasAreDeterministicPerSeed) {
 }
 
 TEST(Datasets, GoldenFingerprintsAreSeedStable) {
-  // Bit-level pin of two replicas (one exact small dataset, one scaled
-  // power-law replica). Guards the generators' Rng consumption order — a
-  // change here invalidates recorded fuzz repros and calibration numbers.
+  // Bit-level pin of replicas: one exact small dataset, one small scaled
+  // one, and three scaled ones at 250K edges whose shapes stress the
+  // Chung–Lu draw: RD's heavy skew, OH's 115K vertices, OT. Guards the
+  // generators' Rng consumption order — a change here invalidates recorded
+  // fuzz repros and calibration numbers.
   const Csr cs = make_dataset(dataset_by_abbr("CS"), {.seed = 42});
   EXPECT_EQ(fingerprint(cs), 0x0097db8346917113ull);
   const Csr cr =
       make_dataset(dataset_by_abbr("CR"), {.max_edges = 50'000, .seed = 42});
   EXPECT_EQ(fingerprint(cr), 0xf9d94a3dc3cf9098ull);
+  const ReplicaOptions scaled{.max_edges = 250'000, .seed = 42};
+  EXPECT_EQ(fingerprint(make_dataset(dataset_by_abbr("RD"), scaled)),
+            0x3fa925923e9c63baull);
+  EXPECT_EQ(fingerprint(make_dataset(dataset_by_abbr("OH"), scaled)),
+            0xc0961bb1440991e6ull);
+  EXPECT_EQ(fingerprint(make_dataset(dataset_by_abbr("OT"), scaled)),
+            0x8c1048378034b7eeull);
 }
 
 TEST(Datasets, SkewOrdering) {

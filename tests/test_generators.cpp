@@ -2,6 +2,9 @@
 // properties the dataset replicas rely on.
 #include <gtest/gtest.h>
 
+#include <utility>
+
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "graph/generators.hpp"
 #include "graph/stats.hpp"
@@ -10,12 +13,17 @@ namespace tlp::graph {
 namespace {
 
 TEST(ErdosRenyi, SizeAndNoSelfLoops) {
-  Rng rng(1);
-  const Csr g = erdos_renyi(100, 500, rng);
-  EXPECT_EQ(g.num_vertices(), 100);
-  EXPECT_EQ(g.num_edges(), 500);
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    for (const VertexId u : g.neighbors(v)) EXPECT_NE(u, v);
+  // (3, 20) asks for more edges than the 6 distinct non-loop pairs: the
+  // generator keeps duplicates, so it still returns all 20.
+  const std::pair<VertexId, EdgeOffset> inputs[] = {{100, 500}, {3, 20}};
+  for (const auto& [n, m] : inputs) {
+    Rng rng(1);
+    const Csr g = erdos_renyi(n, m, rng);
+    EXPECT_EQ(g.num_vertices(), n);
+    EXPECT_EQ(g.num_edges(), m);
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      for (const VertexId u : g.neighbors(v)) EXPECT_NE(u, v);
+    }
   }
 }
 
@@ -43,6 +51,16 @@ TEST(PowerLaw, SteeperExponentIsLessSkewed) {
   const double g_heavy = degree_stats(power_law(2000, 20000, 2.05, r1)).gini;
   const double g_mild = degree_stats(power_law(2000, 20000, 3.5, r2)).gini;
   EXPECT_GT(g_heavy, g_mild);
+}
+
+TEST(PowerLaw, RejectsUnsatisfiableDegreeCap) {
+  // 4 vertices capped at in-degree 5 hold at most 20 edges; asking for 100
+  // must throw rather than spin once every vertex is saturated.
+  Rng rng(2);
+  EXPECT_THROW(power_law(4, 100, 2.1, rng, 5), CheckError);
+  // Exactly full is satisfiable: every vertex ends at the cap.
+  const Csr full = power_law(4, 20, 2.1, rng, 5);
+  for (VertexId v = 0; v < 4; ++v) EXPECT_EQ(full.degree(v), 5);
 }
 
 TEST(Rmat, RoundsToPowerOfTwoAndSkewed) {
@@ -94,11 +112,14 @@ TEST(Complete, AllPairs) {
 // silently invalidates every recorded fuzz repro and dataset replica, so it
 // must show up here as a hard failure, not as a flaky benchmark.
 TEST(GoldenHash, SeededGeneratorsAreBitStable) {
-  Rng er(42), pl(42), rm(42);
+  Rng er(42), pl(42), rm(42), hub(42);
   EXPECT_EQ(fingerprint(erdos_renyi(100, 500, er)), 0xa86e7bb1c6f675ebull);
   EXPECT_EQ(fingerprint(power_law(500, 3000, 2.2, pl)),
             0xbd07bee6c74d521full);
   EXPECT_EQ(fingerprint(rmat(256, 2000, rm)), 0xf3a64740bd926c79ull);
+  // Heavy skew under a cap: saturated hubs take the redirect path.
+  EXPECT_EQ(fingerprint(power_law(1000, 20000, 2.05, hub, 60)),
+            0x436226fe3a347dd8ull);
 }
 
 TEST(GoldenHash, DeterministicGeneratorsAreBitStable) {
