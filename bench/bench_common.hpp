@@ -10,17 +10,19 @@
 //   --seed S        experiment seed
 // plus any flags its BenchDef lists (e.g. fig11's --min-vertices, shown by
 // `tlpbench --list`). bench/suite.hpp registers every bench.
+//
+// A bench only measures: `run` adds records to its Reporter and prints
+// nothing. tlpbench prints each bench's EXPERIMENTS.md section from those
+// records through report::render_bench_md.
 #pragma once
 
 #include <algorithm>
-#include <cstdio>
 #include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/cli.hpp"
-#include "common/format.hpp"
-#include "common/table.hpp"
 #include "graph/datasets.hpp"
 #include "kernels/conv_common.hpp"
 #include "models/reference.hpp"
@@ -107,10 +109,6 @@ inline systems::RunResult run_system(
   sim::Device dev(gpu);
   auto sys = systems::make_system(system_name);
   return sys->run(dev, g, feat, spec);
-}
-
-inline void print_header(const std::string& title, const std::string& setup) {
-  std::printf("\n=== %s ===\n%s\n\n", title.c_str(), setup.c_str());
 }
 
 /// Structured-result sink handed to every bench entry point: appends the

@@ -1,9 +1,9 @@
 // Figure 10 reproduction: incremental technique benefits over an
 // edge-centric baseline — two-level parallelism (TLP), hybrid dynamic
 // workload assignment (+Hybrid), register caching (+Cache), and for GAT
-// kernel fusion (+Fusion). One table per model, speedup vs baseline per
-// dataset, geometric means at the bottom.
-#include <cstdio>
+// kernel fusion (+Fusion). Records each stage's speedup over the baseline
+// per model and dataset, plus per-model geometric means.
+#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -34,21 +34,12 @@ int run(const Args& args, bench::Reporter& rep) {
       BenchConfig::from_args(args, /*max_edges=*/150'000, /*feature=*/32);
   rep.set_config(cfg);
   bench::GraphCache graphs(cfg);
-
-  bench::print_header(
-      "Figure 10: technique benefits over the edge-centric baseline (F=" +
-          std::to_string(cfg.feature_size) + ")",
-      "each column adds one technique; values are speedups vs baseline");
+  const std::vector<std::string> stage_names{"tlp", "+hybrid", "+cache",
+                                             "+fusion"};
 
   for (const ModelKind kind :
        {ModelKind::kGcn, ModelKind::kGin, ModelKind::kSage, ModelKind::kGat}) {
     const bool is_gat = kind == ModelKind::kGat;
-    std::printf("--- %s ---\n", models::model_name(kind));
-    TextTable t(is_gat
-                    ? std::vector<std::string>{"Data", "TLP", "+Hybrid",
-                                               "+Cache", "+Fusion"}
-                    : std::vector<std::string>{"Data", "TLP", "+Hybrid",
-                                               "+Cache"});
     std::vector<std::vector<double>> cols(is_gat ? 4 : 3);
     for (const auto& ds : graph::all_datasets()) {
       const graph::Csr& g = graphs.get(ds.abbr);
@@ -76,33 +67,18 @@ int run(const Args& args, bench::Reporter& rep) {
       // Stage 4 (+Fusion, GAT only): one fused kernel.
       if (is_gat) stages.push_back(run_stage(g, feat, spec, true, true, true, gpu));
 
-      const std::vector<std::string> stage_names{"tlp", "+hybrid", "+cache",
-                                                 "+fusion"};
-      std::vector<std::string> cells{ds.abbr};
       for (std::size_t i = 0; i < stages.size(); ++i) {
         const double speedup = base / stages[i];
         cols[i].push_back(speedup);
         rep.add(models::model_name(kind), ds.abbr, stage_names[i])
             .value("speedup", speedup);
-        cells.push_back(fixed(speedup, 2) + "x");
       }
-      t.add_row(std::move(cells));
     }
-    const std::vector<std::string> stage_names{"tlp", "+hybrid", "+cache",
-                                               "+fusion"};
-    std::vector<std::string> avg{"geomean"};
     for (std::size_t i = 0; i < cols.size(); ++i) {
       rep.add(models::model_name(kind), "", stage_names[i])
           .value("geomean_speedup", geomean(cols[i]));
-      avg.push_back(fixed(geomean(cols[i]), 2) + "x");
     }
-    t.add_row(std::move(avg));
-    t.print();
-    std::printf("\n");
   }
-  std::printf(
-      "paper cumulative averages: GCN 12.9x, GIN 12.1x, Sage 11.3x, GAT 8.6x "
-      "over the edge-centric baseline\n");
   return 0;
 }
 

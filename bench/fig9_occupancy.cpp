@@ -1,6 +1,7 @@
 // Figure 9 reproduction: achieved occupancy of the FeatGraph-like GCN
 // implementation vs TLPGNN over all dataset replicas, with averages.
-#include <cstdio>
+#include <string>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "common/stats.hpp"
@@ -18,12 +19,6 @@ int run(const Args& args, bench::Reporter& rep) {
   rep.set_config(cfg);
   bench::GraphCache graphs(cfg);
 
-  bench::print_header(
-      "Figure 9: achieved occupancy, FeatGraph vs TLPGNN (GCN, F=" +
-          std::to_string(cfg.feature_size) + ")",
-      "occupancy = time-weighted resident warps / 64 per SM");
-
-  TextTable t({"Data", "FeatGraph", "TLPGNN"});
   std::vector<double> fg_all, tlp_all;
   for (const auto& ds : graph::all_datasets()) {
     const graph::Csr& g = graphs.get(ds.abbr);
@@ -39,15 +34,11 @@ int run(const Args& args, bench::Reporter& rep) {
     };
     fg_all.push_back(occupancy("featgraph"));
     tlp_all.push_back(occupancy("tlpgnn"));
-    t.add_row({ds.abbr, pct(fg_all.back()), pct(tlp_all.back())});
   }
   rep.add("summary", "", "featgraph")
       .value("mean_achieved_occupancy", mean(fg_all));
   rep.add("summary", "", "tlpgnn")
       .value("mean_achieved_occupancy", mean(tlp_all));
-  t.add_row({"Average", pct(mean(fg_all)), pct(mean(tlp_all))});
-  t.print();
-  std::printf("\npaper averages: FeatGraph 41.2%%, TLPGNN 68.2%%\n");
   return 0;
 }
 

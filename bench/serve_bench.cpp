@@ -12,8 +12,6 @@
 // served request receives).
 //
 // Extra flag: --requests N (traffic length; default 120).
-#include <cstring>
-
 #include "bench_common.hpp"
 #include "serve/server.hpp"
 #include "suite.hpp"
@@ -69,10 +67,6 @@ int run(const Args& args, Reporter& rep) {
   sopts.max_batch = 4;
   sopts.batch_window_ms = 1.0;
 
-  print_header("Serving SLO under fault storm",
-               "dataset PD | " + g.summary() + " | " +
-                   std::to_string(topts.num_requests) + " requests");
-
   // Fault-free twin.
   serve::Server clean(sopts);
   const serve::ServeResult base = clean.run(traffic, spec);
@@ -101,36 +95,12 @@ int run(const Args& args, Reporter& rep) {
   add_slo(rep, "storm", storm.report);
 
   // The bit-identity contract, recorded as metrics the baseline asserts on.
-  std::int64_t both = 0;
-  std::int64_t mismatched = 0;
-  for (std::size_t i = 0; i < traffic.size(); ++i) {
-    const serve::Response& a = storm.responses[i];
-    const serve::Response& b = base.responses[i];
-    if (!a.served() || !b.served()) continue;
-    ++both;
-    if (a.output.size() != b.output.size() ||
-        std::memcmp(a.output.data(), b.output.data(),
-                    a.output.size() * sizeof(float)) != 0) {
-      ++mismatched;
-    }
-  }
+  const serve::ServedComparison cmp =
+      serve::compare_served(storm.responses, base.responses);
   rep.add("serving", "PD", "storm_vs_fault_free")
-      .value("served_in_both", static_cast<double>(both))
-      .value("mismatched", static_cast<double>(mismatched));
-
-  TextTable t({"variant", "ok", "retried", "degraded", "rejected", "failed",
-               "p50 ms", "p99 ms"});
-  for (const auto* pr : {&base.report, &storm.report}) {
-    t.add_row({pr == &base.report ? "fault_free" : "storm",
-               std::to_string(pr->ok), std::to_string(pr->retried),
-               std::to_string(pr->degraded), std::to_string(pr->rejected),
-               std::to_string(pr->failed), fixed(pr->p50_ms, 3),
-               fixed(pr->p99_ms, 3)});
-  }
-  t.print();
-  std::printf("bit-identity: %lld served in both, %lld mismatched\n",
-              static_cast<long long>(both), static_cast<long long>(mismatched));
-  return mismatched == 0 ? 0 : 1;
+      .value("served_in_both", static_cast<double>(cmp.served_in_both))
+      .value("mismatched", static_cast<double>(cmp.mismatched.size()));
+  return cmp.mismatched.empty() ? 0 : 1;
 }
 
 }  // namespace

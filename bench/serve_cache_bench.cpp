@@ -17,8 +17,6 @@
 // monotonically with cache size, and the bitwise mismatch count is zero.
 //
 // Extra flag: --requests N (traffic length; default 120).
-#include <cstring>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -62,10 +60,6 @@ int run(const Args& args, Reporter& rep) {
   sopts.max_batch = 4;
   sopts.batch_window_ms = 1.0;
 
-  print_header("Feature-cache sweep (pre-sampling vs degree vs none)",
-               "dataset PD | " + g.summary() + " | " +
-                   std::to_string(topts.num_requests) + " requests");
-
   // Uncached reference: the legacy free-gather path every cached run must
   // match bitwise.
   serve::Server reference(sopts);
@@ -81,8 +75,6 @@ int run(const Args& args, Reporter& rep) {
       {"presample_r20", serve::CachePolicy::kPresample, 0.20},
   };
 
-  TextTable t({"variant", "pinned", "hit ratio", "gather ms", "p50 ms",
-               "p99 ms", "req/s"});
   std::int64_t total_both = 0;
   std::int64_t total_mismatched = 0;
   for (const SweepPoint& pt : sweep) {
@@ -95,20 +87,10 @@ int run(const Args& args, Reporter& rep) {
     const serve::CacheStats& cs = cache.stats();
 
     // Bit-identity vs the uncached reference.
-    std::int64_t both = 0;
-    std::int64_t mismatched = 0;
-    for (std::size_t i = 0; i < traffic.size(); ++i) {
-      const serve::Response& a = res.responses[i];
-      const serve::Response& b = base.responses[i];
-      if (!a.served() || !b.served()) continue;
-      ++both;
-      if (a.output.size() != b.output.size() ||
-          std::memcmp(a.output.data(), b.output.data(),
-                      a.output.size() * sizeof(float)) != 0) {
-        ++mismatched;
-      }
-    }
-    total_both += both;
+    const serve::ServedComparison cmp =
+        serve::compare_served(res.responses, base.responses);
+    const auto mismatched = static_cast<std::int64_t>(cmp.mismatched.size());
+    total_both += cmp.served_in_both;
     total_mismatched += mismatched;
 
     const std::int64_t gathered_bytes = cs.bytes_hit + cs.bytes_miss;
@@ -132,13 +114,8 @@ int run(const Args& args, Reporter& rep) {
         .value("p99_ms", res.report.p99_ms)
         .value("mean_ms", res.report.mean_ms)
         .value("throughput_rps", res.report.throughput_rps)
-        .value("served_in_both", static_cast<double>(both))
+        .value("served_in_both", static_cast<double>(cmp.served_in_both))
         .value("mismatched", static_cast<double>(mismatched));
-
-    t.add_row({pt.variant, std::to_string(cs.pinned_rows),
-               fixed(cs.hit_ratio(), 3), fixed(cs.gather_ms, 3),
-               fixed(res.report.p50_ms, 3), fixed(res.report.p99_ms, 3),
-               fixed(res.report.throughput_rps, 1)});
   }
 
   // One aggregate record so a single zero assertion covers every variant.
@@ -146,10 +123,6 @@ int run(const Args& args, Reporter& rep) {
       .value("served_in_both", static_cast<double>(total_both))
       .value("mismatched", static_cast<double>(total_mismatched));
 
-  t.print();
-  std::printf("bit-identity: %lld served pairs, %lld mismatched\n",
-              static_cast<long long>(total_both),
-              static_cast<long long>(total_mismatched));
   return total_mismatched == 0 ? 0 : 1;
 }
 

@@ -107,7 +107,10 @@ bool Args::get_bool(const std::string& name, bool def) const {
   const auto it = named_.find(name);
   if (it == named_.end()) return def;
   const std::string& v = it->second;
-  return v == "true" || v == "1" || v == "yes" || v == "on";
+  if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
+  if (v == "false" || v == "0" || v == "no" || v == "off") return false;
+  throw UsageError("flag --" + name + ": expected a boolean (true/false, "
+                   "1/0, yes/no, on/off), got \"" + v + "\"");
 }
 
 }  // namespace tlp

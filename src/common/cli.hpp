@@ -35,6 +35,10 @@ class Args {
 
   [[nodiscard]] std::string get(const std::string& name,
                                 const std::string& def) const;
+  /// A bare `--flag` is true. An explicit value must be one of true/false,
+  /// 1/0, yes/no, on/off; anything else throws tlp::UsageError naming the
+  /// flag (a bare flag followed by a positional argument reads it as the
+  /// value). Callers turn that into exit code 2.
   [[nodiscard]] bool get_bool(const std::string& name, bool def) const;
 
   /// Numeric getters: the whole value must parse — "abc", "5x", "", "1e3"

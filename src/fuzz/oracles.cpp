@@ -501,17 +501,13 @@ std::vector<OracleFailure> check_serving(const CaseContext& cx) {
       out.push_back({"serving", "fault_free",
                      "fault-free run reported retries/degradation/failures"});
     }
-    for (std::size_t i = 0; i < ra.responses.size(); ++i) {
-      if (!ra.responses[i].served() || !rc.responses[i].served()) continue;
-      const auto& sa = ra.responses[i].output;
-      const auto& sc = rc.responses[i].output;
-      if (sa.size() != sc.size() ||
-          std::memcmp(sa.data(), sc.data(), sa.size() * sizeof(float)) != 0) {
-        out.push_back({"serving", "bit_identity",
-                       "storm-served output for req " + std::to_string(i) +
-                           " differs from the fault-free run"});
-        break;
-      }
+    const serve::ServedComparison cmp =
+        serve::compare_served(ra.responses, rc.responses);
+    if (!cmp.mismatched.empty()) {
+      out.push_back({"serving", "bit_identity",
+                     "storm-served output for req " +
+                         std::to_string(cmp.mismatched.front()) +
+                         " differs from the fault-free run"});
     }
   });
   return out;

@@ -69,4 +69,17 @@ struct Response {
   }
 };
 
+/// Two runs' responses to the same traffic, compared request by request.
+struct ServedComparison {
+  std::int64_t served_in_both = 0;
+  std::vector<std::int64_t> mismatched;  ///< request ids, in traffic order
+};
+
+/// Compares the outputs of every request that both `a` and `b` served
+/// (responses indexed by request, as Server::run returns them; a request
+/// served in only one run is skipped). The comparison is bitwise: a length
+/// difference or any differing bit, -0.0 vs 0.0 included, is a mismatch.
+ServedComparison compare_served(const std::vector<Response>& a,
+                                const std::vector<Response>& b);
+
 }  // namespace tlp::serve

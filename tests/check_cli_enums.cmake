@@ -3,8 +3,9 @@
 # every tool, never silently ignored, never a fall-through to a default, and
 # never a generic CheckError (exit 1). A malformed or out-of-range numeric
 # value is a CheckError: exit 1 with a diagnostic, never a crash and never a
-# run with a misparsed value. A bench's own flag reaches the bench. Invoked
-# by ctest as
+# run with a misparsed value. A bench's own flag reaches the bench. tlpbench
+# takes no positional argument, and a boolean flag takes only a boolean
+# value. Invoked by ctest as
 #   cmake -DTLPBENCH=... -DTLPGNN_CLI=... -DTLPSERVE=... -DBASELINE=...
 #         -P check_cli_enums.cmake
 
@@ -13,7 +14,7 @@
 set(unused_report "${CMAKE_CURRENT_BINARY_DIR}/cli_enums_unused.json")
 file(REMOVE "${unused_report}")
 execute_process(
-  COMMAND "${TLPBENCH}" run --only table1 --max-edges 5000
+  COMMAND "${TLPBENCH}" --only table1 --max-edges 5000
           --timing-tier analytical
           --out "${unused_report}"
           --baseline "${BASELINE}"
@@ -104,22 +105,40 @@ endif()
 file(REMOVE "${gen_bin}")
 
 # Case 6: a bench's own flag reaches it through tlpbench: the serve bench
-# runs the requested traffic length, not its default of 120.
+# runs the requested traffic length, not its default of 120. Counted from
+# the report, not from announced text: the fault-free run's five outcome
+# counts must sum to 7.
 set(requests_report "${CMAKE_CURRENT_BINARY_DIR}/cli_enums_requests.json")
+file(REMOVE "${requests_report}")
 execute_process(
   COMMAND "${TLPBENCH}" --only serve --max-edges 20000 --requests 7
           --no-assert --out "${requests_report}"
   RESULT_VARIABLE rc6
-  OUTPUT_VARIABLE out6
-  ERROR_VARIABLE err6)
+  ERROR_VARIABLE err6
+  OUTPUT_QUIET)
 if(NOT rc6 EQUAL 0)
   message(FATAL_ERROR "tlpbench --requests 7: expected exit 0, got ${rc6} "
                       "(${err6})")
 endif()
-if(NOT out6 MATCHES "\\| 7 requests")
+file(READ "${requests_report}" json6)
+string(JSON records6 GET "${json6}" benches 0 records)
+string(JSON nrecords6 LENGTH "${records6}")
+set(served6 "")
+math(EXPR last6 "${nrecords6} - 1")
+foreach(i RANGE ${last6})
+  string(JSON variant6 GET "${records6}" ${i} variant)
+  if(variant6 STREQUAL "fault_free")
+    set(served6 0)
+    foreach(outcome ok retried degraded rejected failed)
+      string(JSON n6 GET "${records6}" ${i} values ${outcome})
+      math(EXPR served6 "${served6} + ${n6}")
+    endforeach()
+  endif()
+endforeach()
+if(NOT served6 STREQUAL "7")
   message(FATAL_ERROR
-          "tlpbench --only serve --requests 7: the serve bench did not run "
-          "7 requests, got: ${out6}")
+          "tlpbench --only serve --requests 7: the fault-free run's outcome "
+          "counts sum to '${served6}', not 7")
 endif()
 file(REMOVE "${requests_report}")
 
@@ -159,3 +178,71 @@ if(NOT err8 MATCHES "seed")
   message(FATAL_ERROR
           "tlpbench --seed -1: diagnostic must name the flag, got: ${err8}")
 endif()
+
+# Case 9: tlpbench takes no positional argument. A misspelt one must not be
+# dropped while the rest of the command line runs.
+file(REMOVE "${unused_report}")
+execute_process(
+  COMMAND "${TLPBENCH}" tabel1 --only table3 --max-edges 5000
+          --out "${unused_report}" --baseline "${BASELINE}"
+  RESULT_VARIABLE rc9
+  ERROR_VARIABLE err9
+  OUTPUT_QUIET)
+if(NOT rc9 EQUAL 2)
+  message(FATAL_ERROR "tlpbench tabel1: expected exit 2, got ${rc9}")
+endif()
+if(NOT err9 MATCHES "tabel1")
+  message(FATAL_ERROR
+          "tlpbench tabel1: diagnostic must name the argument, got: ${err9}")
+endif()
+if(EXISTS "${unused_report}")
+  message(FATAL_ERROR "tlpbench with a positional argument wrote a report")
+endif()
+
+# Case 10: a boolean flag with an unrecognised value is a usage error, not a
+# silent false: `--list foo` must not run the benches.
+execute_process(
+  COMMAND "${TLPBENCH}" --list foo --only table3 --max-edges 5000
+          --out "${unused_report}" --baseline "${BASELINE}"
+  RESULT_VARIABLE rc10
+  ERROR_VARIABLE err10
+  OUTPUT_QUIET)
+if(NOT rc10 EQUAL 2)
+  message(FATAL_ERROR "tlpbench --list foo: expected exit 2, got ${rc10}")
+endif()
+if(NOT err10 MATCHES "--list")
+  message(FATAL_ERROR
+          "tlpbench --list foo: diagnostic must name the flag, got: ${err10}")
+endif()
+if(EXISTS "${unused_report}")
+  message(FATAL_ERROR "tlpbench --list foo wrote a report; it must not")
+endif()
+
+# Cases 11-13: tlpgnn_cli gen rejects what graph::power_law cannot take, as
+# a flag error (exit 1) before anything is written: a vertex count that
+# does not fit the 32-bit vertex id, fewer than 2 vertices, and a power-law
+# exponent that is not above 1.
+function(expect_gen_rejected flag)
+  set(gen_el "${CMAKE_CURRENT_BINARY_DIR}/cli_enums_gen.el")
+  file(REMOVE "${gen_el}")
+  execute_process(
+    COMMAND "${TLPGNN_CLI}" gen --out "${gen_el}" ${ARGN}
+    RESULT_VARIABLE rc
+    ERROR_VARIABLE err
+    OUTPUT_QUIET)
+  if(NOT rc EQUAL 1)
+    message(FATAL_ERROR
+            "tlpgnn_cli gen ${ARGN}: expected exit 1, got ${rc} (${err})")
+  endif()
+  if(NOT err MATCHES "flag --${flag}")
+    message(FATAL_ERROR
+            "tlpgnn_cli gen ${ARGN}: diagnostic must name --${flag}, got: "
+            "${err}")
+  endif()
+  if(EXISTS "${gen_el}")
+    message(FATAL_ERROR "rejected tlpgnn_cli gen ${ARGN} wrote ${gen_el}")
+  endif()
+endfunction()
+expect_gen_rejected(vertices --vertices 4294967301 --edges 10)
+expect_gen_rejected(vertices --vertices 1)
+expect_gen_rejected(alpha --alpha 0.5)

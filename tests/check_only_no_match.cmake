@@ -5,7 +5,7 @@
 
 # Case 1: a name that is not a bench.
 execute_process(
-  COMMAND "${TLPBENCH}" run --only no_such_bench
+  COMMAND "${TLPBENCH}" --only no_such_bench
           --out "${CMAKE_CURRENT_BINARY_DIR}/only_no_match.json"
           --baseline "${BASELINE}"
   RESULT_VARIABLE rc1
@@ -20,7 +20,7 @@ endif()
 
 # Case 2: an empty selection (no names survive CSV parsing).
 execute_process(
-  COMMAND "${TLPBENCH}" run --only ""
+  COMMAND "${TLPBENCH}" --only ""
           --out "${CMAKE_CURRENT_BINARY_DIR}/only_no_match.json"
           --baseline "${BASELINE}"
   RESULT_VARIABLE rc2

@@ -188,5 +188,26 @@ TEST(Cli, ParsesNamedAndPositional) {
   EXPECT_EQ(args.first_unknown({}), "alpha");  // first in sorted order
 }
 
+TEST(Cli, GetBoolAcceptsTheEightSpellingsAndRejectsAnyOther) {
+  const char* argv[] = {"prog", "--a=true", "--b=1",  "--c=yes", "--d=on",
+                        "--e=false", "--f=0", "--g=no", "--h=off",
+                        "--list",   "foo"};
+  Args args(11, argv);
+  for (const char* name : {"a", "b", "c", "d"})
+    EXPECT_TRUE(args.get_bool(name, false)) << name;
+  for (const char* name : {"e", "f", "g", "h"})
+    EXPECT_FALSE(args.get_bool(name, true)) << name;
+  EXPECT_TRUE(args.get_bool("absent", true));
+  // `--list foo` reads "foo" as the value: a usage error naming the flag,
+  // not a silent false.
+  try {
+    (void)args.get_bool("list", false);
+    FAIL() << "expected UsageError";
+  } catch (const UsageError& e) {
+    EXPECT_NE(std::string(e.what()).find("--list"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("\"foo\""), std::string::npos);
+  }
+}
+
 }  // namespace
 }  // namespace tlp

@@ -1,12 +1,17 @@
 // Unit tests for the tlpbench reporting pipeline: JSON round-trips, the
 // versioned Report schema, shape-assertion evaluation (pass and fail paths),
-// and the EXPERIMENTS.md renderer (DESIGN.md §9).
+// and the EXPERIMENTS.md renderer (DESIGN.md §9), including its sections
+// for every registered bench over the checked-in bench/baseline.json.
 #include <gtest/gtest.h>
+
+#include <fstream>
+#include <sstream>
 
 #include "report/json.hpp"
 #include "report/render_md.hpp"
 #include "report/report.hpp"
 #include "report/shapes.hpp"
+#include "suite.hpp"
 
 namespace tlp::report {
 namespace {
@@ -302,6 +307,24 @@ TEST(RenderMd, DeterministicWithProvenanceAndShapeSummary) {
   EXPECT_NE(md.find("fast beats slow"), std::string::npos);
   EXPECT_NE(md.find("cafe123"), std::string::npos);
   EXPECT_NE(md.find("tlpbench-v1"), std::string::npos);
+}
+
+// What tlpbench prints after a bench is exactly that bench's section of the
+// document, and no bench can be registered without one.
+TEST(RenderMd, EveryRegisteredBenchSectionAppearsVerbatimInTheDocument) {
+  std::ifstream in(std::string(TLP_SOURCE_DIR) + "/bench/baseline.json");
+  ASSERT_TRUE(in) << "cannot read bench/baseline.json";
+  std::ostringstream text;
+  text << in.rdbuf();
+  const Report rep = Report::from_json(Json::parse(text.str()).at("results"));
+  const std::string md = render_experiments_md(rep, {});
+  for (const bench::BenchDef* def : bench::all_benches()) {
+    ASSERT_NE(rep.find_bench(def->name), nullptr) << def->name;
+    const std::string section = render_bench_md(rep, def->name);
+    EXPECT_FALSE(section.empty()) << def->name;
+    EXPECT_NE(md.find(section), std::string::npos) << def->name;
+  }
+  EXPECT_EQ(render_bench_md(rep, "no_such_bench"), "");
 }
 
 }  // namespace

@@ -568,6 +568,38 @@ TEST(CircuitBreaker, OpensAfterThresholdAndRecloses) {
   EXPECT_TRUE(br.allow(25));
 }
 
+TEST(CompareServed, SkipsOneSidedRequestsAndComparesBitwise) {
+  const auto response = [](std::int64_t id, Outcome outcome,
+                           std::vector<float> output) {
+    Response r;
+    r.id = id;
+    r.outcome = outcome;
+    r.output = std::move(output);
+    return r;
+  };
+  const float nan = std::nanf("");
+  const std::vector<Response> a{
+      response(0, Outcome::kOk, {1.0f, 2.0f}),
+      response(1, Outcome::kFailed, {}),  // served only in b: skipped
+      response(2, Outcome::kRetried, {1.0f}),
+      response(3, Outcome::kDegraded, {-0.0f}),
+      response(4, Outcome::kOk, {3.0f}),  // served only in a: skipped
+      response(5, Outcome::kOk, {nan}),
+  };
+  const std::vector<Response> b{
+      response(0, Outcome::kDegraded, {1.0f, 2.0f}),
+      response(1, Outcome::kOk, {9.0f}),
+      response(2, Outcome::kOk, {1.0f, 0.0f}),  // length differs
+      response(3, Outcome::kOk, {0.0f}),        // == but not bitwise equal
+      response(4, Outcome::kRejected, {}),
+      response(5, Outcome::kRetried, {nan}),    // != but bitwise equal
+  };
+  const ServedComparison c = compare_served(a, b);
+  EXPECT_EQ(c.served_in_both, 4);
+  EXPECT_EQ(c.mismatched, (std::vector<std::int64_t>{2, 3}));
+  EXPECT_THROW((void)compare_served(a, {}), CheckError);
+}
+
 TEST(Outcomes, NamesAreStable) {
   EXPECT_STREQ(outcome_name(Outcome::kOk), "ok");
   EXPECT_STREQ(outcome_name(Outcome::kRetried), "retried");

@@ -1,7 +1,9 @@
 // tlpbench: machine-readable benchmark pipeline driver (DESIGN.md §9).
 //
-//   tlpbench                         # run the full suite, write BENCH_<date>.json,
-//                                    # check bench/baseline.json shape assertions
+//   tlpbench                         # run the full suite, print each bench's
+//                                    # EXPERIMENTS.md section from its fresh
+//                                    # records, write BENCH_<date>.json, check
+//                                    # bench/baseline.json shape assertions
 //   tlpbench --only table1,fig9      # subset by suite id
 //   tlpbench --list                  # show the registered benches and
 //                                    # the flags each one takes
@@ -20,7 +22,8 @@
 //                                         # committed file is byte-identical
 //
 // Exit codes: 0 ok, 1 shape-assertion failure / drift / IO error / bad
-// flag value, 2 usage.
+// numeric flag value, 2 usage (unknown flag, positional argument, or a
+// boolean flag given a non-boolean value).
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -137,6 +140,8 @@ std::string default_out_name() {
 }
 
 int run_mode(const Args& args) {
+  // Read before any bench runs, so a malformed value writes no report.
+  const bool no_assert = args.get_bool("no-assert", false);
   // Select benches.
   std::vector<const bench::BenchDef*> selected;
   if (args.has("only")) {
@@ -193,11 +198,15 @@ int run_mode(const Args& args) {
         std::chrono::duration<double, std::milli>(
             std::chrono::steady_clock::now() - bench_start)
             .count());
+    merged.benches.push_back(std::move(result));
+    // Printed before the exit check: a failing bench's records show why
+    // (e.g. the serve benches' mismatch counts).
+    std::fputs(report::render_bench_md(merged, def->name).c_str(), stdout);
     if (rc != 0) {
+      std::fflush(stdout);
       std::fprintf(stderr, "error: bench %s exited with %d\n", def->name, rc);
       return 1;
     }
-    merged.benches.push_back(std::move(result));
   }
   const double total_wall_ms =
       std::chrono::duration<double, std::milli>(
@@ -217,13 +226,16 @@ int run_mode(const Args& args) {
   const double sys_s = seconds(usage.ru_stime);
 
   const auto print_harness_timing = [&] {
+    int width = static_cast<int>(std::strlen("peak rss"));
+    for (const auto& [name, ms] : wall_ms)
+      width = std::max(width, static_cast<int>(name.size()));
     std::printf("\n=== harness timing (wall clock) ===\n");
     for (const auto& [name, ms] : wall_ms)
-      std::printf("  %-8s %9.1f ms\n", name.c_str(), ms);
-    std::printf("  total    %9.1f ms\n", total_wall_ms);
-    std::printf("  user     %9.1f s\n", user_s);
-    std::printf("  sys      %9.1f s\n", sys_s);
-    std::printf("  peak rss %9.1f MB\n", peak_rss_mb);
+      std::printf("  %-*s %9.1f ms\n", width, name.c_str(), ms);
+    std::printf("  %-*s %9.1f ms\n", width, "total", total_wall_ms);
+    std::printf("  %-*s %9.1f s\n", width, "user", user_s);
+    std::printf("  %-*s %9.1f s\n", width, "sys", sys_s);
+    std::printf("  %-*s %9.1f MB\n", width, "peak rss", peak_rss_mb);
   };
 
   const std::string out_path = args.get("out", default_out_name());
@@ -270,7 +282,7 @@ int run_mode(const Args& args) {
                 baseline_path.c_str(), merged.git.c_str());
   }
 
-  if (args.get_bool("no-assert", false)) {
+  if (no_assert) {
     print_harness_timing();
     return 0;
   }
@@ -308,45 +320,50 @@ int run_mode(const Args& args) {
 
 int main(int argc, char** argv) {
   const Args args(argc, argv);
-  if (args.get_bool("help", false)) {
-    usage(stdout);
-    return 0;
-  }
-  // The shared flags plus every registered bench's own flags (each bench's
-  // run() reads them from these Args, e.g. serve's --requests).
-  std::vector<std::string> known = kFlags;
-  for (const bench::BenchDef* def : bench::all_benches()) {
-    for (const std::string& f : bench::split_csv(def->extra_flags)) {
-      known.push_back(f);
-    }
-  }
-  if (const auto unknown = args.first_unknown(known)) {
-    std::fprintf(stderr, "error: unknown flag --%s\n", unknown->c_str());
-    usage(stderr);
-    return 2;
-  }
-
-  if (args.get_bool("list", false)) {
-    std::printf("registered benches (tlpbench --only <name,...>):\n");
-    int width = 0;
-    for (const bench::BenchDef* def : bench::all_benches())
-      width = std::max(width, static_cast<int>(std::strlen(def->name)));
-    for (const bench::BenchDef* def : bench::all_benches()) {
-      std::printf("  %-*s %s", width, def->name, def->title);
-      for (const std::string& f : bench::split_csv(def->extra_flags))
-        std::printf("  [--%s N]", f.c_str());
-      std::printf("\n");
-    }
-    std::printf("(micro_sim is standalone: google-benchmark, own JSON "
-                "format)\n");
-    return 0;
-  }
-
-  const std::string baseline_path =
-      args.get("baseline", "bench/baseline.json");
-
   try {
+    if (args.get_bool("help", false)) {
+      usage(stdout);
+      return 0;
+    }
+    // The shared flags plus every registered bench's own flags (each bench's
+    // run() reads them from these Args, e.g. serve's --requests).
+    std::vector<std::string> known = kFlags;
+    for (const bench::BenchDef* def : bench::all_benches()) {
+      for (const std::string& f : bench::split_csv(def->extra_flags)) {
+        known.push_back(f);
+      }
+    }
+    if (const auto unknown = args.first_unknown(known)) {
+      std::fprintf(stderr, "error: unknown flag --%s\n", unknown->c_str());
+      usage(stderr);
+      return 2;
+    }
+    if (!args.positional().empty()) {
+      std::fprintf(stderr, "error: unexpected argument \"%s\"\n",
+                   args.positional().front().c_str());
+      usage(stderr);
+      return 2;
+    }
+
+    if (args.get_bool("list", false)) {
+      std::printf("registered benches (tlpbench --only <name,...>):\n");
+      int width = 0;
+      for (const bench::BenchDef* def : bench::all_benches())
+        width = std::max(width, static_cast<int>(std::strlen(def->name)));
+      for (const bench::BenchDef* def : bench::all_benches()) {
+        std::printf("  %-*s %s", width, def->name, def->title);
+        for (const std::string& f : bench::split_csv(def->extra_flags))
+          std::printf("  [--%s N]", f.c_str());
+        std::printf("\n");
+      }
+      std::printf("(micro_sim is standalone: google-benchmark, own JSON "
+                  "format)\n");
+      return 0;
+    }
+
     if (args.has("render-md") || args.has("check-md")) {
+      const std::string baseline_path =
+          args.get("baseline", "bench/baseline.json");
       Baseline b;
       if (args.has("from")) {
         b.results =

@@ -27,6 +27,7 @@
 //                     in allocation --flip-alloc (0-based; -1 = random)
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -193,12 +194,16 @@ int cmd_gen(const Args& args) {
   if (args.has("dataset")) {
     g = load_graph(args);
   } else {
+    // power_law needs n >= 2 vertices that fit graph::VertexId, and a
+    // power-law exponent above 1.
+    const auto n = static_cast<graph::VertexId>(args.get_int_checked(
+        "vertices", 10'000, 2, std::numeric_limits<graph::VertexId>::max()));
+    const std::int64_t m = args.get_int_checked("edges", 100'000, 0, 1LL << 48);
+    const double alpha = args.get_double_checked("alpha", 2.3, 0.1, 64.0);
+    TLP_CHECK_MSG(alpha > 1.0, "flag --alpha: value " << alpha
+                                   << " must be greater than 1");
     Rng rng(static_cast<std::uint64_t>(args.get_int_checked("seed", 42, 0)));
-    g = graph::power_law(
-        static_cast<graph::VertexId>(
-            args.get_int_checked("vertices", 10'000, 1, 1LL << 40)),
-        args.get_int_checked("edges", 100'000, 0, 1LL << 48),
-        args.get_double_checked("alpha", 2.3, 0.1, 64.0), rng);
+    g = graph::power_law(n, m, alpha, rng);
   }
   if (format == "bin") {
     graph::write_binary_csr_file(out, g);

@@ -22,8 +22,9 @@
 // or above the --fail-on severity exists (useful locally); with --baseline,
 // only *new* findings gate, so known paper-documented pathologies stay
 // visible without breaking CI. --strict makes a truncated trace (TLP-META-000
-// — incomplete coverage) failing in either mode. An unknown flag is a usage
-// error (exit 2). See README.md ("Linting the kernels") for the workflow.
+// — incomplete coverage) failing in either mode. An unknown flag or a
+// malformed boolean value is a usage error (exit 2); a malformed number
+// exits 1. See README.md ("Linting the kernels") for the workflow.
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -32,6 +33,7 @@
 
 #include "analysis/analyzer.hpp"
 #include "analysis/diagnostics.hpp"
+#include "common/check.hpp"
 #include "common/cli.hpp"
 #include "common/table.hpp"
 
@@ -102,10 +104,7 @@ void print_report(const std::vector<Diagnostic>& diags) {
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  tlp::Args args(argc, argv);
+int run(const tlp::Args& args) {
   if (args.has("help")) {
     std::cout
         << "usage: tlplint [--systems=a,b,..] [--serve] [--json PATH]\n"
@@ -227,4 +226,19 @@ int main(int argc, char** argv) {
     return 1;
   }
   return strict_rc;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const tlp::Args args(argc, argv);
+  try {
+    return run(args);
+  } catch (const tlp::UsageError& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  } catch (const tlp::CheckError& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  }
 }

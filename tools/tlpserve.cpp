@@ -35,7 +35,6 @@
 // --verify mismatch), 2 usage error.
 #include <cctype>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <optional>
 #include <string>
@@ -244,26 +243,18 @@ std::string outcome_sequence(const std::vector<serve::Response>& responses) {
 /// requests get served, never *what* a served request receives.
 int verify_against_fault_free(const std::vector<serve::Response>& storm,
                               const std::vector<serve::Response>& clean) {
-  std::int64_t compared = 0;
-  std::int64_t mismatched = 0;
-  for (std::size_t i = 0; i < storm.size(); ++i) {
-    if (!storm[i].served() || !clean[i].served()) continue;
-    ++compared;
-    const auto& a = storm[i].output;
-    const auto& b = clean[i].output;
-    if (a.size() != b.size() ||
-        std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) != 0) {
-      ++mismatched;
-      std::fprintf(stderr, "verify: req %lld output differs (%s vs %s)\n",
-                   static_cast<long long>(storm[i].id),
-                   serve::outcome_name(storm[i].outcome),
-                   serve::outcome_name(clean[i].outcome));
-    }
+  const serve::ServedComparison cmp = serve::compare_served(storm, clean);
+  for (const std::int64_t id : cmp.mismatched) {
+    const auto i = static_cast<std::size_t>(id);
+    std::fprintf(stderr, "verify: req %lld output differs (%s vs %s)\n",
+                 static_cast<long long>(id),
+                 serve::outcome_name(storm[i].outcome),
+                 serve::outcome_name(clean[i].outcome));
   }
   std::printf("verify: %lld served in both runs, %lld bitwise mismatches\n",
-              static_cast<long long>(compared),
-              static_cast<long long>(mismatched));
-  return mismatched == 0 ? 0 : 1;
+              static_cast<long long>(cmp.served_in_both),
+              static_cast<long long>(cmp.mismatched.size()));
+  return cmp.mismatched.empty() ? 0 : 1;
 }
 
 void print_usage(std::FILE* to) {
@@ -343,16 +334,16 @@ int run(const Args& args) {
 
 int main(int argc, char** argv) {
   const tlp::Args args(argc, argv);
-  if (args.get_bool("help", false)) {
-    print_usage(stdout);
-    return 0;
-  }
-  if (const auto unknown = args.first_unknown(known_flags())) {
-    std::fprintf(stderr, "error: unknown flag --%s\n", unknown->c_str());
-    print_usage(stderr);
-    return 2;
-  }
   try {
+    if (args.get_bool("help", false)) {
+      print_usage(stdout);
+      return 0;
+    }
+    if (const auto unknown = args.first_unknown(known_flags())) {
+      std::fprintf(stderr, "error: unknown flag --%s\n", unknown->c_str());
+      print_usage(stderr);
+      return 2;
+    }
     return run(args);
   } catch (const tlp::UsageError& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
