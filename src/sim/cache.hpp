@@ -32,10 +32,12 @@ class SetAssocCache {
   SetAssocCache(std::int64_t capacity_bytes, int line_bytes, int ways);
 
   /// Accesses the line containing `byte_addr`; returns true on hit and
-  /// inserts on miss. LRU within the set. Defined inline below — this is the
-  /// innermost call of the memory model (hundreds of millions of probes per
-  /// tlpbench run) and must not cost a cross-TU call.
-  bool access(std::uint64_t byte_addr);
+  /// inserts on miss. LRU within the set. The innermost call of the memory
+  /// model (hundreds of millions of probes per tlpbench run), so it is
+  /// always inlined: WarpCtx::charge probes each line's L1, and its L2 on a
+  /// miss, through it, and without the attribute the LTO build kept one
+  /// out-of-line copy that every probe called (DESIGN.md §10).
+  [[gnu::always_inline]] inline bool access(std::uint64_t byte_addr);
 
   /// Probe without inserting or touching LRU state.
   [[nodiscard]] bool contains(std::uint64_t byte_addr) const;

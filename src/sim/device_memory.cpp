@@ -209,6 +209,11 @@ const DeviceMemory::AllocationRecord* DeviceMemory::find_allocation(
   return nullptr;
 }
 
+void DeviceMemory::move_long(std::byte* dst, const std::byte* src,
+                             std::size_t bytes) {
+  std::memcpy(dst, src, bytes);
+}
+
 void DeviceMemory::guarded_check(std::uint64_t byte_addr,
                                  std::size_t bytes) const {
   const AllocationRecord* rec = find_allocation(byte_addr);

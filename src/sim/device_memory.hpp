@@ -230,18 +230,21 @@ class DeviceMemory {
   }
 
   /// Bulk transfer of `count` consecutive elements with a single range
-  /// bounds check — the warp context's sequential fast path. The range check
-  /// subsumes the per-element checks a lane-by-lane loop would make: any
-  /// element out of the arena puts the range end out of the arena too.
+  /// bounds check — the warp context's `*_seq` and run fast paths, which
+  /// move at most one warp's 128 B. The range check subsumes the per-element checks a
+  /// lane-by-lane loop would make: any element out of the arena puts the
+  /// range end out of the arena too.
   template <class T>
   void read_block(std::uint64_t byte_addr, T* out, std::size_t count) const {
     bounds_check(byte_addr, count * sizeof(T));
-    std::memcpy(out, arena_ + byte_addr, count * sizeof(T));
+    move_block(reinterpret_cast<std::byte*>(out), arena_ + byte_addr,
+               count * sizeof(T));
   }
   template <class T>
   void write_block(std::uint64_t byte_addr, const T* in, std::size_t count) {
     bounds_check(byte_addr, count * sizeof(T));
-    std::memcpy(arena_ + byte_addr, in, count * sizeof(T));
+    move_block(arena_ + byte_addr, reinterpret_cast<const std::byte*>(in),
+               count * sizeof(T));
   }
 
   /// Host-side cache-warming hint with no simulation effect whatsoever: no
@@ -323,6 +326,42 @@ class DeviceMemory {
     }
     if (mode_ == MemoryMode::kGuarded) guarded_check(byte_addr, bytes);
   }
+  /// Copies `bytes` bytes. Up to a warp's 128 B it makes two fixed-width
+  /// moves of the widest power of two w < bytes (both w when bytes = 2w),
+  /// one from each end of the range; where they overlap they carry the same
+  /// bytes, and both loads come before both stores. A variable-length
+  /// memcpy of at most 128 B compiles to `rep movsq`, whose start-up cost
+  /// dominated the `*_seq` ops; fixed widths compile to vector moves
+  /// (DESIGN.md §10). Longer host-side transfers take move_long.
+  static void move_block(std::byte* dst, const std::byte* src,
+                         std::size_t bytes) {
+    const auto ends = [&]<std::size_t w>() {
+      std::byte head[w];
+      std::byte tail[w];
+      std::memcpy(head, src, w);
+      std::memcpy(tail, src + bytes - w, w);
+      std::memcpy(dst, head, w);
+      std::memcpy(dst + bytes - w, tail, w);
+    };
+    if (bytes > 128) [[unlikely]]
+      move_long(dst, src, bytes);
+    else if (bytes > 64)
+      ends.template operator()<64>();
+    else if (bytes > 32)
+      ends.template operator()<32>();
+    else if (bytes > 16)
+      ends.template operator()<16>();
+    else if (bytes > 8)
+      ends.template operator()<8>();
+    else if (bytes >= 4)
+      ends.template operator()<4>();
+    else
+      std::memcpy(dst, src, bytes);
+  }
+  /// A plain memcpy, out of line so that the warp callers' 128 B buffers
+  /// never meet a longer copy in the compiler's overflow analysis.
+  [[gnu::noinline]] static void move_long(std::byte* dst, const std::byte* src,
+                                          std::size_t bytes);
   void guarded_check(std::uint64_t byte_addr, std::size_t bytes) const;
   [[noreturn]] void fail_access(std::uint64_t byte_addr, std::size_t bytes,
                                 const char* what) const;

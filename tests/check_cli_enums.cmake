@@ -6,8 +6,8 @@
 # run with a misparsed value. A bench's own flag reaches the bench. tlpbench
 # takes no positional argument, and a boolean flag takes only a boolean
 # value. Invoked by ctest as
-#   cmake -DTLPBENCH=... -DTLPGNN_CLI=... -DTLPSERVE=... -DBASELINE=...
-#         -P check_cli_enums.cmake
+#   cmake -DTLPBENCH=... -DTLPGNN_CLI=... -DTLPSERVE=... -DTLPFUZZ=...
+#         -DTLPLINT=... -DBASELINE=... -P check_cli_enums.cmake
 
 # Case 1: tlpbench rejects an unknown flag (here --timing-tier) before any
 # bench runs.
@@ -246,3 +246,70 @@ endfunction()
 expect_gen_rejected(vertices --vertices 4294967301 --edges 10)
 expect_gen_rejected(vertices --vertices 1)
 expect_gen_rejected(alpha --alpha 0.5)
+
+# Case 14: tlpfuzz maps a malformed number to exit 1 naming the flag. The
+# checked getters used to run outside main's try and abort the process.
+execute_process(
+  COMMAND "${TLPFUZZ}" --seed abc
+  RESULT_VARIABLE rc14
+  ERROR_VARIABLE err14
+  OUTPUT_QUIET)
+if(NOT rc14 EQUAL 1)
+  message(FATAL_ERROR "tlpfuzz --seed abc: expected exit 1, got ${rc14}")
+endif()
+if(NOT err14 MATCHES "flag --seed")
+  message(FATAL_ERROR
+          "tlpfuzz --seed abc: diagnostic must name --seed, got: ${err14}")
+endif()
+
+# Case 15: tlpfuzz's boolean flags take only boolean values.
+execute_process(
+  COMMAND "${TLPFUZZ}" --expect-bugs maybe
+  RESULT_VARIABLE rc15
+  ERROR_VARIABLE err15
+  OUTPUT_QUIET)
+if(NOT rc15 EQUAL 2)
+  message(FATAL_ERROR "tlpfuzz --expect-bugs maybe: expected exit 2, got ${rc15}")
+endif()
+
+# Case 16: `--expect-bugs no` turns the self-check off: a zero-iteration
+# campaign runs instead and writes a campaign report.
+set(fuzz_report "${CMAKE_CURRENT_BINARY_DIR}/cli_enums_fuzz.json")
+file(REMOVE "${fuzz_report}")
+execute_process(
+  COMMAND "${TLPFUZZ}" --expect-bugs no --iters 0 --json "${fuzz_report}"
+  RESULT_VARIABLE rc16
+  OUTPUT_VARIABLE out16
+  ERROR_VARIABLE err16)
+if(NOT rc16 EQUAL 0)
+  message(FATAL_ERROR
+          "tlpfuzz --expect-bugs no: expected exit 0, got ${rc16} (${err16})")
+endif()
+if(out16 MATCHES "seeded-bug kernels")
+  message(FATAL_ERROR "tlpfuzz --expect-bugs no ran the self-check: ${out16}")
+endif()
+if(NOT EXISTS "${fuzz_report}")
+  message(FATAL_ERROR "tlpfuzz --expect-bugs no wrote no report")
+endif()
+file(READ "${fuzz_report}" json16)
+string(JSON mode16 GET "${json16}" mode)
+if(NOT mode16 STREQUAL "fuzz")
+  message(FATAL_ERROR
+          "tlpfuzz --expect-bugs no wrote a '${mode16}' report, not a campaign")
+endif()
+file(REMOVE "${fuzz_report}")
+
+# Case 17: tlplint rejects a non-boolean --serve before any analysis runs.
+execute_process(
+  COMMAND "${TLPLINT}" --serve maybe
+  RESULT_VARIABLE rc17
+  ERROR_VARIABLE err17
+  OUTPUT_QUIET)
+if(NOT rc17 EQUAL 2)
+  message(FATAL_ERROR "tlplint --serve maybe: expected exit 2, got ${rc17}")
+endif()
+if(NOT err17 MATCHES "flag --serve" OR err17 MATCHES "analyzing")
+  message(FATAL_ERROR
+          "tlplint --serve maybe: must name --serve before any analysis, "
+          "got: ${err17}")
+endif()

@@ -11,11 +11,13 @@
 //   tlpfuzz --repro-dir repros           # minimize failures into .el files
 //
 // Exit codes: 0 all oracles held, 1 failures found (or, with --expect-bugs,
-// a seeded bug was missed), 2 usage/environment error.
+// a seeded bug was missed) or a malformed or out-of-range number, 2
+// usage/environment error.
 #include <fstream>
 #include <iostream>
 #include <string>
 
+#include "common/check.hpp"
 #include "common/cli.hpp"
 #include "fuzz/fuzz.hpp"
 
@@ -43,11 +45,8 @@ void print_failures(const tlp::fuzz::FuzzReport& rep) {
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  tlp::Args args(argc, argv);
-  if (args.has("help")) {
+int run(const tlp::Args& args) {
+  if (args.get_bool("help", false)) {
     std::cout
         << "usage: tlpfuzz [--iters N] [--seed S] [--time-budget SECONDS]\n"
         << "               [--repro FILE.el] [--expect-bugs]\n"
@@ -70,10 +69,11 @@ int main(int argc, char** argv) {
       args.get_int_checked("iters", 500, 0, 100'000'000));
   opts.time_budget_s = args.get_double_checked("time-budget", 0.0, 0.0, 1e9);
   opts.repro_dir = args.get("repro-dir", "");
-  opts.verbose = args.has("verbose");
+  opts.verbose = args.get_bool("verbose", false);
+  const bool expect_bugs = args.get_bool("expect-bugs", false);
 
   try {
-    if (args.has("expect-bugs")) {
+    if (expect_bugs) {
       const tlp::fuzz::ExpectBugsReport rep =
           tlp::fuzz::run_expect_bugs(2000, opts.verbose);
       for (const auto& m : rep.mutants) {
@@ -116,5 +116,22 @@ int main(int argc, char** argv) {
   } catch (const std::exception& e) {
     std::cerr << "tlpfuzz: fatal: " << e.what() << "\n";
     return 2;
+  }
+}
+
+}  // namespace
+
+// A malformed flag is a usage error (exit 2) or, for a bad number, a
+// CheckError (exit 1); both messages name the flag.
+int main(int argc, char** argv) {
+  const tlp::Args args(argc, argv);
+  try {
+    return run(args);
+  } catch (const tlp::UsageError& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 2;
+  } catch (const tlp::CheckError& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
   }
 }

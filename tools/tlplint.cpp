@@ -105,7 +105,7 @@ void print_report(const std::vector<Diagnostic>& diags) {
 }
 
 int run(const tlp::Args& args) {
-  if (args.has("help")) {
+  if (args.get_bool("help", false)) {
     std::cout
         << "usage: tlplint [--systems=a,b,..] [--serve] [--json PATH]\n"
         << "               [--sarif PATH] [--fail-on note|warning|error]\n"
@@ -141,13 +141,14 @@ int run(const tlp::Args& args) {
       << 20;
   const Severity fail_on = parse_fail_on(args.get("fail-on", "error"));
   const bool strict = args.get_bool("strict", false);
+  const bool with_serve = args.get_bool("serve", false);
 
   std::cerr << "tlplint: analyzing " << systems.size() << " systems x "
             << datasets.size() << " datasets"
-            << (args.has("serve") ? " + served session" : "") << "...\n";
+            << (with_serve ? " + served session" : "") << "...\n";
   tlp::analysis::LintReport report =
       tlp::analysis::lint_systems(systems, datasets, opt);
-  if (args.has("serve")) {
+  if (with_serve) {
     tlp::analysis::LintReport serve = tlp::analysis::lint_serve(opt);
     report.diagnostics.insert(
         report.diagnostics.end(),
