@@ -9,6 +9,11 @@ namespace tlp::analysis {
 
 namespace {
 
+/// Report the top kAtomicTopK addresses; flag when the hottest address
+/// absorbs at least kAtomicHotOps atomic lane-ops.
+constexpr int kAtomicTopK = 3;
+constexpr std::int64_t kAtomicHotOps = 64;
+
 struct HotAddr {
   std::uint64_t addr = 0;
   std::int64_t ops = 0;
@@ -18,7 +23,7 @@ struct HotAddr {
 }  // namespace
 
 void AtomicContentionPass::run(const sim::KernelTrace& kt,
-                               const PassOptions& opt,
+                               const PassOptions& /*opt*/,
                                std::vector<Diagnostic>& out) const {
   // Lane-op histogram over atomic target addresses, with per-address
   // majority-site attribution (first site wins ties — deterministic because
@@ -59,7 +64,7 @@ void AtomicContentionPass::run(const sim::KernelTrace& kt,
   });
 
   const HotAddr& worst = hot.front();
-  if (worst.ops < opt.atomic_hot_ops) return;
+  if (worst.ops < kAtomicHotOps) return;
 
   Diagnostic d;
   d.rule = rule();
@@ -73,7 +78,7 @@ void AtomicContentionPass::run(const sim::KernelTrace& kt,
      << " of " << total_ops << " atomic lane-ops (serialized by the L2 "
      << "atomic units — worst-case " << worst.ops
      << "-deep replay chain); top addresses:";
-  const int k = std::min<int>(opt.atomic_top_k, static_cast<int>(hot.size()));
+  const int k = std::min<int>(kAtomicTopK, static_cast<int>(hot.size()));
   for (int i = 0; i < k; ++i)
     os << " [" << hot[static_cast<std::size_t>(i)].addr << "]x"
        << hot[static_cast<std::size_t>(i)].ops;

@@ -14,7 +14,18 @@
 
 namespace tlp::analysis {
 
-void BalancePass::run(const sim::KernelTrace& kt, const PassOptions& opt,
+namespace {
+
+/// Flag a kernel whose busiest warp issues more than this multiple of the
+/// mean per-warp request count, over at least kBalanceMinWarps warps and
+/// kMinRequests requests: the paper's warp-per-vertex balance claim,
+/// inverted.
+constexpr double kBalanceRatio = 8.0;
+constexpr std::int64_t kBalanceMinWarps = 8;
+
+}  // namespace
+
+void BalancePass::run(const sim::KernelTrace& kt, const PassOptions& /*opt*/,
                       std::vector<Diagnostic>& out) const {
   struct WarpAgg {
     std::int64_t requests = 0;
@@ -29,8 +40,8 @@ void BalancePass::run(const sim::KernelTrace& kt, const PassOptions& opt,
     w.by_site[a.site] += 1;
     ++total;
   }
-  if (static_cast<std::int64_t>(warps.size()) < opt.balance_min_warps ||
-      total < opt.min_requests) {
+  if (static_cast<std::int64_t>(warps.size()) < kBalanceMinWarps ||
+      total < kMinRequests) {
     return;
   }
 
@@ -45,7 +56,7 @@ void BalancePass::run(const sim::KernelTrace& kt, const PassOptions& opt,
   const double mean = static_cast<double>(total) /
                       static_cast<double>(warps.size());
   const double ratio = static_cast<double>(busiest->requests) / mean;
-  if (ratio <= opt.balance_ratio) return;
+  if (ratio <= kBalanceRatio) return;
 
   // Attribute the imbalance to the busiest warp's dominant access site so a
   // kernel that accepts the skew can suppress exactly there. std::map order

@@ -8,6 +8,14 @@ namespace tlp::analysis {
 
 namespace {
 
+/// CoalescingPass flags a site whose sectors exceed this multiple of the
+/// perfectly coalesced count, over at least kMinRequests requests.
+constexpr double kCoalesceRatio = 4.0;
+
+/// DivergencePass flags a kernel whose vector requests average fewer than
+/// this fraction of 32 lanes active, over at least kMinRequests requests.
+constexpr double kDivergenceFloor = 0.5;
+
 struct SiteAgg {
   std::int64_t requests = 0;
   std::int64_t sectors = 0;
@@ -17,7 +25,8 @@ struct SiteAgg {
 
 }  // namespace
 
-void CoalescingPass::run(const sim::KernelTrace& kt, const PassOptions& opt,
+void CoalescingPass::run(const sim::KernelTrace& kt,
+                         const PassOptions& /*opt*/,
                          std::vector<Diagnostic>& out) const {
   // Aggregate vector requests per static access site; unannotated accesses
   // pool under site 0 so they are still covered, just less precisely named.
@@ -36,13 +45,13 @@ void CoalescingPass::run(const sim::KernelTrace& kt, const PassOptions& opt,
   }
 
   for (const auto& [site, agg] : by_site) {
-    if (agg.requests < opt.min_requests) continue;
+    if (agg.requests < kMinRequests) continue;
     const double per_req =
         static_cast<double>(agg.sectors) / static_cast<double>(agg.requests);
     const double ideal_per_req = static_cast<double>(agg.ideal_sectors) /
                                  static_cast<double>(agg.requests);
     if (static_cast<double>(agg.sectors) <=
-        opt.coalesce_ratio * static_cast<double>(agg.ideal_sectors)) {
+        kCoalesceRatio * static_cast<double>(agg.ideal_sectors)) {
       continue;
     }
     Diagnostic d;
@@ -64,7 +73,8 @@ void CoalescingPass::run(const sim::KernelTrace& kt, const PassOptions& opt,
   }
 }
 
-void DivergencePass::run(const sim::KernelTrace& kt, const PassOptions& opt,
+void DivergencePass::run(const sim::KernelTrace& kt,
+                         const PassOptions& /*opt*/,
                          std::vector<Diagnostic>& out) const {
   std::int64_t requests = 0;
   std::int64_t lanes = 0;
@@ -73,11 +83,11 @@ void DivergencePass::run(const sim::KernelTrace& kt, const PassOptions& opt,
     requests += 1;
     lanes += a.active_lanes();
   }
-  if (requests < opt.min_requests) return;
+  if (requests < kMinRequests) return;
   const double activity = static_cast<double>(lanes) /
                           (static_cast<double>(requests) *
                            static_cast<double>(sim::kTraceWarpSize));
-  if (activity >= opt.divergence_floor) return;
+  if (activity >= kDivergenceFloor) return;
 
   Diagnostic d;
   d.rule = rule();

@@ -42,45 +42,11 @@
 
 namespace tlp::analysis {
 
-/// Tunable thresholds. Defaults are calibrated so the paper's *intended*
-/// kernel properties pass cleanly and the known pathologies (edge-centric
-/// column reads, push-kernel hub contention, warp-per-vertex degree skew)
-/// fire.
+/// What a lint run reasons against. Each pass's thresholds are constants in
+/// its own source file, calibrated so the paper's *intended* kernel
+/// properties pass cleanly and the known pathologies (edge-centric column
+/// reads, push-kernel hub contention, warp-per-vertex degree skew) fire.
 struct PassOptions {
-  // CoalescingPass: flag a site when its average sectors-per-request exceeds
-  // `coalesce_ratio` x the perfectly coalesced sector count, over at least
-  // `min_requests` vector requests.
-  double coalesce_ratio = 4.0;
-  std::int64_t min_requests = 16;
-
-  // DivergencePass: flag a kernel whose vector requests average fewer than
-  // `divergence_floor` of 32 lanes active (over >= min_requests requests).
-  double divergence_floor = 0.5;
-
-  // AtomicContentionPass: report the top `atomic_top_k` addresses; flag when
-  // the hottest address absorbs >= `atomic_hot_ops` atomic lane-ops.
-  int atomic_top_k = 3;
-  std::int64_t atomic_hot_ops = 64;
-
-  // RedundantLoadPass: flag a site once >= `redundant_loads` fetches hit an
-  // address whose value the same warp already held with no intervening
-  // store to it.
-  std::int64_t redundant_loads = 64;
-
-  // BalancePass: flag a kernel whose busiest warp issues more than
-  // `balance_ratio` x the mean per-warp request count, over at least
-  // `balance_min_warps` warps and `min_requests` total requests — the
-  // paper's warp-per-vertex balance claim, inverted.
-  double balance_ratio = 8.0;
-  std::int64_t balance_min_warps = 8;
-
-  // ReusePass: flag a site when at least `reuse_miss_frac` of its reuses
-  // have an LRU stack distance exceeding the L2 (`gpu.l2_bytes`), over at
-  // least `reuse_min_reuses` reused lines — reuse the cache can never
-  // capture.
-  double reuse_miss_frac = 0.5;
-  std::int64_t reuse_min_reuses = 64;
-
   // Cache geometry the whole-trace passes reason against (ReusePass). The
   // lint driver passes the scaled replica it simulates on.
   sim::GpuSpec gpu = sim::GpuSpec::v100();

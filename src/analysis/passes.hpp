@@ -2,9 +2,15 @@
 // DESIGN.md §7 for the methodology; tests instantiate these directly.
 #pragma once
 
+#include <cstdint>
+
 #include "analysis/pass.hpp"
 
 namespace tlp::analysis {
+
+/// Fewest requests a site (CoalescingPass) or a launch (DivergencePass,
+/// BalancePass) must issue before the pass judges it.
+inline constexpr std::int64_t kMinRequests = 16;
 
 /// TLP-RACE-001 — happens-before race detection over the access trace.
 ///
@@ -84,7 +90,7 @@ class RedundantLoadPass final : public Pass {
            std::vector<Diagnostic>& out) const override;
 };
 
-/// TLP-BAL-008 — inter-warp load imbalance: one warp issues balance_ratio x
+/// TLP-BAL-008 — inter-warp load imbalance: one warp issues far more than
 /// the mean per-warp request count. The paper's central scheduling claim
 /// (§4.1) is that warp-per-vertex with FA+TM hides degree skew; this pass
 /// measures the skew that actually reached the memory system. The

@@ -10,6 +10,10 @@ namespace tlp::analysis {
 
 namespace {
 
+/// Flag a site once this many fetches hit an address whose value the same
+/// warp already held with no intervening store to it.
+constexpr std::int64_t kRedundantLoads = 64;
+
 struct PairHash {
   std::size_t operator()(const std::pair<std::uint64_t, std::uint64_t>& p)
       const {
@@ -26,7 +30,8 @@ struct LastLoad {
 
 }  // namespace
 
-void RedundantLoadPass::run(const sim::KernelTrace& kt, const PassOptions& opt,
+void RedundantLoadPass::run(const sim::KernelTrace& kt,
+                            const PassOptions& /*opt*/,
                             std::vector<Diagnostic>& out) const {
   // word -> global sequence of the last store/atomic touching it (any warp).
   std::unordered_map<std::uint64_t, std::int64_t> store_seq;
@@ -70,7 +75,7 @@ void RedundantLoadPass::run(const sim::KernelTrace& kt, const PassOptions& opt,
   }
 
   for (const auto& [sites, count] : redundant) {
-    if (count < opt.redundant_loads) continue;
+    if (count < kRedundantLoads) continue;
     Diagnostic d;
     d.rule = rule();
     d.severity = Severity::kWarning;

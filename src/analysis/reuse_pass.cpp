@@ -34,6 +34,12 @@ namespace {
 
 constexpr std::uint64_t kLineBytes = 128;
 
+/// Flag a site when at least kReuseMissFrac of its reuses have an LRU stack
+/// distance exceeding the L2, over at least kReuseMinReuses reused lines:
+/// reuse the cache can never capture.
+constexpr double kReuseMissFrac = 0.5;
+constexpr std::int64_t kReuseMinReuses = 64;
+
 /// Fenwick tree over touch timestamps; supports point +/-1 and prefix sum.
 class Fenwick {
  public:
@@ -129,10 +135,10 @@ void ReusePass::run(const sim::AccessTrace& trace, const PassOptions& opt,
       });
 
   for (const auto& [site, agg] : by_site) {
-    if (agg.reuses < opt.reuse_min_reuses) continue;
+    if (agg.reuses < kReuseMinReuses) continue;
     const double far_frac = static_cast<double>(agg.far_reuses) /
                             static_cast<double>(agg.reuses);
-    if (far_frac < opt.reuse_miss_frac) continue;
+    if (far_frac < kReuseMissFrac) continue;
     Diagnostic d;
     d.rule = rule();
     d.severity = Severity::kWarning;

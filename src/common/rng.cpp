@@ -79,8 +79,4 @@ bool Rng::next_bool(double p) { return next_double() < p; }
 
 Rng Rng::split() { return Rng(next_u64()); }
 
-void fill_uniform(Rng& rng, std::vector<float>& out, float lo, float hi) {
-  for (auto& v : out) v = lo + (hi - lo) * rng.next_float();
-}
-
 }  // namespace tlp

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 namespace tlp {
 
@@ -46,8 +45,5 @@ class Rng {
  private:
   std::uint64_t s_[4];
 };
-
-/// Fills `out` with uniform floats in [lo, hi).
-void fill_uniform(Rng& rng, std::vector<float>& out, float lo, float hi);
 
 }  // namespace tlp

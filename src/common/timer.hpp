@@ -20,7 +20,6 @@ class Timer {
   }
 
   [[nodiscard]] double millis() const { return seconds() * 1e3; }
-  [[nodiscard]] double micros() const { return seconds() * 1e6; }
 
  private:
   using Clock = std::chrono::steady_clock;

@@ -9,6 +9,11 @@ namespace tlp {
 
 namespace {
 
+/// Partitioned attempts of the OutOfMemory fallback, starting at two parts
+/// and doubling per attempt.
+constexpr int kInitialPartitions = 2;
+constexpr int kMaxDegradeAttempts = 4;
+
 sim::GpuSpec effective_spec(const EngineOptions& opts) {
   sim::GpuSpec spec = opts.gpu;
   if (opts.device_memory_bytes > 0) spec.memory_bytes = opts.device_memory_bytes;
@@ -19,8 +24,8 @@ sim::GpuSpec effective_spec(const EngineOptions& opts) {
 
 Engine::Engine(const EngineOptions& opts)
     : opts_(opts),
-      device_(std::make_unique<sim::Device>(effective_spec(opts), opts.device)),
-      system_(opts.tlpgnn) {}
+      device_(std::make_unique<sim::Device>(effective_spec(opts),
+                                            opts.device)) {}
 
 systems::RunResult Engine::conv(const graph::Csr& g,
                                 const tensor::Tensor& feat,
@@ -33,7 +38,7 @@ systems::RunResult Engine::conv(const graph::Csr& g,
     last_ = r;
     return r;
   } catch (const OutOfMemory& oom) {
-    if (!opts_.degrade.enabled) throw;
+    if (!opts_.degrade) throw;
     systems::RunResult r = conv_degraded(g, feat, spec, oom);
     last_ = r;
     return r;
@@ -48,8 +53,8 @@ systems::RunResult Engine::conv_degraded(const graph::Csr& g,
   // footprint shrinks geometrically. A part can never be smaller than one
   // vertex, so cap the count at |V|.
   if (g.num_vertices() < 2) throw oom;  // nothing left to split
-  int k = std::max(2, opts_.degrade.initial_partitions);
-  for (int attempt = 0; attempt < opts_.degrade.max_attempts; ++attempt) {
+  int k = kInitialPartitions;
+  for (int attempt = 0; attempt < kMaxDegradeAttempts; ++attempt) {
     k = std::min<int>(k, g.num_vertices());
     try {
       systems::RunResult r =
@@ -58,7 +63,7 @@ systems::RunResult Engine::conv_degraded(const graph::Csr& g,
       r.degradation.reason = oom.what();
       return r;
     } catch (const OutOfMemory&) {
-      if (attempt + 1 >= opts_.degrade.max_attempts) throw;
+      if (attempt + 1 >= kMaxDegradeAttempts) throw;
       k *= 2;
     }
   }

@@ -29,22 +29,14 @@
 
 namespace tlp {
 
-/// Policy for the OutOfMemory partitioned fallback.
-struct DegradePolicy {
-  bool enabled = true;
-  int initial_partitions = 2;
-  /// Maximum partitioned attempts (partition count doubles per attempt);
-  /// when exhausted the last OutOfMemory propagates to the caller.
-  int max_attempts = 4;
-};
-
 struct EngineOptions {
   sim::GpuSpec gpu = sim::GpuSpec::v100();
   /// Overrides GpuSpec::memory_bytes when > 0 (CLI --device-mem-gb).
   std::int64_t device_memory_bytes = 0;
   sim::DeviceOptions device;  ///< guarded memory mode, fault plan
-  systems::TlpgnnOptions tlpgnn;
-  DegradePolicy degrade;
+  /// OutOfMemory degrades to the partitioned fallback (see conv()); false
+  /// lets it propagate.
+  bool degrade = true;
 };
 
 class Engine {
@@ -54,8 +46,9 @@ class Engine {
 
   /// Runs one graph-convolution operation with TLPGNN and returns the output
   /// features plus simulator metrics. On device OutOfMemory this degrades to
-  /// partitioned execution (see DegradePolicy) rather than throwing;
-  /// inspect RunResult::degradation to detect the fallback.
+  /// partitioned execution (2, 4, 8, then 16 parts; the last OutOfMemory
+  /// propagates) rather than throwing; inspect RunResult::degradation to
+  /// detect the fallback.
   systems::RunResult conv(const graph::Csr& g, const tensor::Tensor& feat,
                           const models::ConvSpec& spec);
 

@@ -21,6 +21,13 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Predicate-evaluation budget per minimization.
+constexpr std::uint64_t kMinimizeEvals = 2000;
+
+/// At most this many failing cases of a campaign are minimized
+/// (minimization re-runs the failing subject hundreds of times).
+constexpr std::uint64_t kMaxMinimized = 5;
+
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
@@ -124,8 +131,7 @@ void minimize_failure(const CaseContext& cx, const FuzzOptions& opts,
   if (!pred) return;
   try {
     if (!pred(cx.g)) return;  // not reproducible in isolation; skip
-    const MinimizeResult m =
-        minimize_graph(cx.g, pred, opts.minimize_evals);
+    const MinimizeResult m = minimize_graph(cx.g, pred, kMinimizeEvals);
     rec->minimized_vertices = m.graph.num_vertices();
     rec->minimized_edges = m.graph.num_edges();
     std::filesystem::create_directories(opts.repro_dir);
@@ -203,7 +209,7 @@ FuzzReport run_fuzz(const FuzzOptions& opts) {
       FailureRecord rec;
       rec.spec = c;
       rec.failure = std::move(f);
-      if (built && !opts.repro_dir.empty() && minimized < opts.max_minimized &&
+      if (built && !opts.repro_dir.empty() && minimized < kMaxMinimized &&
           (rec.failure.oracle == "kernel_diff" ||
            rec.failure.oracle == "system_diff")) {
         minimize_failure(cx, opts, &rec);
@@ -279,7 +285,7 @@ FuzzReport run_repro(const std::string& path, const FuzzOptions& opts) {
   return rep;
 }
 
-ExpectBugsReport run_expect_bugs(std::uint64_t minimize_evals, bool verbose) {
+ExpectBugsReport run_expect_bugs(bool verbose) {
   ExpectBugsReport rep;
   // Deterministic battery chosen so every seeded bug class has at least one
   // case that exposes it: a hub (row bounds, norms), a chain (self terms), a
@@ -322,7 +328,7 @@ ExpectBugsReport run_expect_bugs(std::uint64_t minimize_evals, bool verbose) {
         try {
           if (pred(cx.g)) {
             const MinimizeResult m =
-                minimize_graph(cx.g, pred, minimize_evals);
+                minimize_graph(cx.g, pred, kMinimizeEvals);
             mr.minimized_vertices = m.graph.num_vertices();
             mr.minimized_edges = m.graph.num_edges();
           }

@@ -29,11 +29,6 @@ struct FuzzOptions {
   double time_budget_s = 0;
   /// Directory for minimized `.el` repro files; empty disables minimization.
   std::string repro_dir;
-  /// Predicate-evaluation budget per minimization.
-  std::uint64_t minimize_evals = 2000;
-  /// At most this many failing cases are minimized (minimization re-runs the
-  /// failing subject hundreds of times).
-  std::uint64_t max_minimized = 5;
   bool verbose = false;
 };
 
@@ -90,8 +85,7 @@ struct ExpectBugsReport {
   }
 };
 
-ExpectBugsReport run_expect_bugs(std::uint64_t minimize_evals = 2000,
-                                 bool verbose = false);
+ExpectBugsReport run_expect_bugs(bool verbose = false);
 
 std::string report_to_json(const FuzzReport& r);
 std::string report_to_json(const ExpectBugsReport& r);

@@ -19,10 +19,6 @@ struct LocalGraph {
   std::vector<VertexId> to_global;
   /// Owned vertices come first in the local id space.
   VertexId num_owned = 0;
-
-  [[nodiscard]] VertexId num_halo() const {
-    return csr.num_vertices() - num_owned;
-  }
 };
 
 /// Extracts partition `p`'s local graph from a global pull-CSR and a vertex

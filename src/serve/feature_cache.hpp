@@ -55,23 +55,8 @@ struct FeatureCacheOptions {
   /// [0, 1]. The presample policy pins at most the vertices its warm-up
   /// actually touched.
   double cache_ratio = 0.10;
-  /// Warm-up rounds (the K of K-round pre-sampling) and queries drawn per
-  /// round. Each query replays the live popularity law and expands the same
-  /// k-hop ego the live request would, so sampled frequency estimates true
-  /// gather frequency.
+  /// Warm-up rounds: the K of K-round pre-sampling.
   int warmup_rounds = 3;
-  std::int64_t warmup_queries_per_round = 256;
-  /// Seed of the warm-up draw stream. Independent of the traffic seed (which
-  /// fixes the popularity permutation itself), so warm-up samples the law
-  /// without replaying the literal request sequence.
-  std::uint64_t warmup_seed = 0x5eedCac4eULL;
-  /// Simulated bandwidth of a missed row: scattered single-row pulls over
-  /// the host link (PCIe 3.0 x16 is ~12 GB/s streaming; random 64–512 B
-  /// rows derate it heavily). Unit: GB/s.
-  double miss_gb_per_s = 8.0;
-  /// Simulated bandwidth of a hit row: coalesced reads of the pinned region
-  /// in device memory (V100 HBM2 ~900 GB/s). Unit: GB/s.
-  double hit_gb_per_s = 900.0;
 };
 
 /// Running totals over every gather() since construction / reset_stats().

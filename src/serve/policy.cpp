@@ -7,10 +7,17 @@
 
 namespace tlp::serve {
 
+namespace {
+
+/// Per-retry exponential growth of the nominal backoff.
+constexpr double kBackoffMultiplier = 2.0;
+
+}  // namespace
+
 double RetryPolicy::delay_ms(int retry, Rng& rng) const {
   TLP_CHECK_GE(retry, 0);
   const double nominal =
-      base_delay_ms * std::pow(multiplier, static_cast<double>(retry));
+      base_delay_ms * std::pow(kBackoffMultiplier, static_cast<double>(retry));
   const double jitter = std::clamp(jitter_frac, 0.0, 1.0);
   // One rng draw regardless of jitter so the stream stays aligned across
   // configurations.

@@ -24,8 +24,8 @@ struct RetryPolicy {
   /// Direct re-attempts after the first failure (total direct attempts is
   /// 1 + max_retries).
   int max_retries = 2;
-  double base_delay_ms = 0.5;  ///< backoff before the first retry
-  double multiplier = 2.0;     ///< per-retry exponential growth
+  /// Backoff before the first retry; it doubles with every further retry.
+  double base_delay_ms = 0.5;
   /// Uniform jitter as a fraction of the nominal delay: the actual delay is
   /// nominal * (1 - jitter + 2 * jitter * u), u ~ U[0,1) from a seeded rng.
   double jitter_frac = 0.2;
@@ -35,7 +35,6 @@ struct RetryPolicy {
 };
 
 struct FallbackPolicy {
-  bool enabled = true;
   int initial_partitions = 2;
   /// Partitioned attempts (part count doubles per attempt).
   int max_attempts = 2;

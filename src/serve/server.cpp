@@ -17,6 +17,12 @@ namespace {
 using graph::EdgeOffset;
 using graph::VertexId;
 
+/// Simulated charge for an attempt that dies before producing kernel time.
+constexpr double kFailedAttemptFloorMs = 0.05;
+
+/// Seed of the backoff-jitter stream (independent of the traffic seed).
+constexpr std::uint64_t kJitterSeed = 7;
+
 /// Block-diagonal disjoint union of the batch members' ego subgraphs. Each
 /// block keeps its internal edge order and its in-degrees, so GCN norms and
 /// per-vertex float accumulation are exactly the single-request values —
@@ -81,19 +87,16 @@ Server::Server(const ServerOptions& opts, FeatureCache* cache)
     : opts_(opts),
       engine_([&opts] {
         EngineOptions eo = opts.engine;
-        eo.degrade.enabled = false;  // the server owns the ladder
+        eo.degrade = false;  // the server owns the ladder
         return eo;
       }()),
-      fallback_system_(opts.engine.tlpgnn),
       cache_(cache) {
   TLP_CHECK_GT(opts_.queue_capacity, 0);
   TLP_CHECK_GT(opts_.max_batch, 0);
   TLP_CHECK_GE(opts_.queue_capacity, opts_.max_batch);
   TLP_CHECK_GE(opts_.batch_window_ms, 0);
-  TLP_CHECK_GE(opts_.failed_attempt_floor_ms, 0);
   TLP_CHECK_GE(opts_.retry.max_retries, 0);
   TLP_CHECK_GE(opts_.retry.base_delay_ms, 0);
-  TLP_CHECK_GE(opts_.retry.multiplier, 1.0);
   TLP_CHECK_GE(opts_.fallback.initial_partitions, 1);
   TLP_CHECK_GE(opts_.fallback.max_attempts, 1);
   TLP_CHECK_GT(opts_.breaker.failure_threshold, 0);
@@ -125,7 +128,7 @@ ServeResult Server::run(const std::vector<Request>& traffic,
   }
 
   sim::Device& dev = engine_.device();
-  Rng jitter(opts_.jitter_seed);
+  Rng jitter(kJitterSeed);
   CircuitBreaker breaker(opts_.breaker);
   std::deque<std::int64_t> queue;
   std::int64_t next_arrival = 0;
@@ -133,10 +136,10 @@ ServeResult Server::run(const std::vector<Request>& traffic,
   double clock = 0;
 
   // An attempt that died before producing kernel time still occupies the
-  // device: charge the partial gpu time it did accumulate, floored at the
-  // configured minimum. Deterministic — gpu_time_ms is simulated.
+  // device: charge the partial gpu time it did accumulate, floored at
+  // kFailedAttemptFloorMs. Deterministic — gpu_time_ms is simulated.
   const auto failed_charge = [&]() {
-    return std::max(opts_.failed_attempt_floor_ms, dev.gpu_time_ms());
+    return std::max(kFailedAttemptFloorMs, dev.gpu_time_ms());
   };
 
   const auto admit_until = [&](double t) {
@@ -192,7 +195,7 @@ ServeResult Server::run(const std::vector<Request>& traffic,
 
     // Partitioned fallback: bit-identical output, doubling part count. A
     // graph of < 2 vertices cannot be split; such a request can only fail.
-    if (opts_.fallback.enabled && g.num_vertices() >= 2) {
+    if (g.num_vertices() >= 2) {
       int k = std::max(2, opts_.fallback.initial_partitions);
       for (int a = 0; a < opts_.fallback.max_attempts; ++a) {
         k = std::min<int>(k, g.num_vertices());

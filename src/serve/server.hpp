@@ -54,13 +54,9 @@ struct ServerOptions {
   RetryPolicy retry;
   FallbackPolicy fallback;
   BreakerPolicy breaker;
-  /// Device + TLPGNN configuration. The server owns the retry/degrade ladder,
-  /// so Engine's internal DegradePolicy is forced off.
+  /// Device configuration. The server owns the retry/degrade ladder, so
+  /// Engine's internal OutOfMemory fallback is forced off.
   EngineOptions engine;
-  /// Simulated charge for an attempt that dies before producing kernel time.
-  double failed_attempt_floor_ms = 0.05;
-  /// Seed of the backoff-jitter stream (independent of the traffic seed).
-  std::uint64_t jitter_seed = 7;
   /// Deterministic fault-storm schedule, sorted by at_request.
   std::vector<StormEvent> storms;
 };

@@ -2,23 +2,6 @@
 
 namespace tlp::sim {
 
-void KernelRecord::merge_traffic_from(const KernelRecord& other) {
-  issue_cycles += other.issue_cycles;
-  mem_stall_cycles += other.mem_stall_cycles;
-  atomic_stall_cycles += other.atomic_stall_cycles;
-  requests += other.requests;
-  sectors += other.sectors;
-  bytes_load += other.bytes_load;
-  bytes_store += other.bytes_store;
-  bytes_atomic += other.bytes_atomic;
-  bytes_dram += other.bytes_dram;
-  l1_accesses += other.l1_accesses;
-  l1_hits += other.l1_hits;
-  l2_accesses += other.l2_accesses;
-  l2_hits += other.l2_hits;
-  atomic_ops += other.atomic_ops;
-}
-
 KernelRecord& Profiler::begin_kernel(std::string name) {
   records_.emplace_back();
   records_.back().name = std::move(name);

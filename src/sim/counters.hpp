@@ -38,8 +38,6 @@ struct KernelRecord {
   double elapsed_cycles = 0;
   double resident_warp_integral = 0;  ///< ∫ resident warps dt, all SMs
   double launch_overhead_us = 0;      ///< device-side launch cost
-
-  void merge_traffic_from(const KernelRecord& other);
 };
 
 /// Metrics aggregated over one or more kernel launches — the quantities

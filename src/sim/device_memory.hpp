@@ -284,8 +284,6 @@ class DeviceMemory {
   [[nodiscard]] const std::vector<AllocationRecord>& allocations() const {
     return allocs_;
   }
-  /// Total allocations made over this arena's lifetime (fault-plan cursor).
-  [[nodiscard]] std::int64_t alloc_count() const { return alloc_seq_; }
   /// Flips one bit, bypassing guards — the ECC-corruption injection point.
   void flip_bit(std::uint64_t byte_addr, int bit);
 

@@ -74,16 +74,6 @@ struct GpuSpec {
   /// enjoy (memory-level parallelism limit).
   int latency_hiding_cap = 32;
 
-  [[nodiscard]] double cycles_to_ms(double cycles) const {
-    return cycles / (clock_ghz * 1e6);
-  }
-  [[nodiscard]] double us_to_cycles(double us) const {
-    return us * clock_ghz * 1e3;
-  }
-  [[nodiscard]] int sectors_per_line() const {
-    return line_bytes / sector_bytes;
-  }
-
   /// The paper's evaluation machine.
   static GpuSpec v100() { return GpuSpec{}; }
 

@@ -26,13 +26,6 @@ inline void lane_axpy(WVec<float>& acc, float a, const WVec<float>& x,
     acc[static_cast<std::size_t>(l)] += a * x[static_cast<std::size_t>(l)];
 }
 
-/// acc[l] += x[l] for lanes [0, n).
-inline void lane_add(WVec<float>& acc, const WVec<float>& x,
-                     int n = kWarpSize) {
-  for (int l = 0; l < n; ++l)
-    acc[static_cast<std::size_t>(l)] += x[static_cast<std::size_t>(l)];
-}
-
 /// v[l] *= x[l] for lanes [0, n) — elementwise products (edge-weight times
 /// feature, norm-pair weights).
 inline void lane_mul(WVec<float>& v, const WVec<float>& x,

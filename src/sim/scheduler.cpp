@@ -91,58 +91,15 @@ void finalize_timing(const GpuSpec& spec, KernelRecord& rec, double makespan,
   rec.launch_overhead_us += spec.kernel_launch_us;
 }
 
-void run_hardware_dynamic(MemorySystem& sys, WarpKernel& kernel,
-                          const LaunchConfig& cfg, KernelRecord& rec) {
+/// The fixed-assignment block loop: `total_warps` warps in blocks of `wpb`,
+/// warp w running items [w * chunk, (w + 1) * chunk) back to back. Hardware
+/// dynamic is one item per warp (total_warps = n, chunk = 1); blocks take
+/// slots as earlier blocks retire.
+void run_blocks(MemorySystem& sys, WarpKernel& kernel, int wpb,
+                std::int64_t total_warps, std::int64_t chunk,
+                KernelRecord& rec) {
   const GpuSpec& spec = sys.spec;
   const std::int64_t n = kernel.num_items();
-  const int wpb = std::max(1, cfg.warps_per_block);
-  const std::int64_t blocks = (n + wpb - 1) / wpb;
-  rec.blocks = blocks;
-  rec.warps_per_block = wpb;
-
-  std::vector<double>& durations = scratch().durations;
-  durations.clear();
-  durations.reserve(static_cast<std::size_t>(blocks));
-  double resident_integral = 0.0;
-  WarpCtx warp(sys, 0);
-  for (std::int64_t b = 0; b < blocks; ++b) {
-    const int sm = static_cast<int>(b % spec.num_sms);
-    double block_serial = 0.0;
-    int block_warps = 0;
-    const std::int64_t lo = b * wpb;
-    const std::int64_t hi = std::min<std::int64_t>(n, lo + wpb);
-    for (std::int64_t item = lo; item < hi; ++item) {
-      warp.reassign(sm, /*warp_id=*/item);
-      warp.begin_item(item);
-      kernel.run_item(warp, item);
-      rec.issue_cycles += warp.issue_cycles();
-      rec.mem_stall_cycles += warp.mem_cycles();
-      rec.warps++;
-      ++block_warps;
-      block_serial = std::max(block_serial, warp.total_cycles());
-    }
-    durations.push_back(block_serial);
-    resident_integral += block_serial * block_warps;
-  }
-
-  const int slots =
-      spec.num_sms * resident_blocks_per_sm(spec, wpb);
-  const double makespan = slot_makespan(durations, slots,
-                                        spec.block_dispatch_cycles, nullptr);
-  finalize_timing(spec, rec, makespan, resident_integral);
-}
-
-void run_static_chunk(MemorySystem& sys, WarpKernel& kernel,
-                      const LaunchConfig& cfg, KernelRecord& rec) {
-  const GpuSpec& spec = sys.spec;
-  const std::int64_t n = kernel.num_items();
-  const int wpb = std::max(1, cfg.warps_per_block);
-  std::int64_t total_warps =
-      cfg.grid_blocks > 0
-          ? static_cast<std::int64_t>(cfg.grid_blocks) * wpb
-          : static_cast<std::int64_t>(spec.num_sms) * spec.warps_per_sm;
-  total_warps = std::max<std::int64_t>(1, std::min(total_warps, n));
-  const std::int64_t chunk = (n + total_warps - 1) / total_warps;
   const std::int64_t blocks = (total_warps + wpb - 1) / wpb;
   rec.blocks = blocks;
   rec.warps_per_block = wpb;
@@ -179,6 +136,22 @@ void run_static_chunk(MemorySystem& sys, WarpKernel& kernel,
   const double makespan = slot_makespan(durations, slots,
                                         spec.block_dispatch_cycles, nullptr);
   finalize_timing(spec, rec, makespan, resident_integral);
+}
+
+/// Static contiguous chunking: a fixed warp set (grid_blocks x wpb, or one
+/// full machine) splits the items into equal contiguous chunks.
+void run_static_chunk(MemorySystem& sys, WarpKernel& kernel,
+                      const LaunchConfig& cfg, KernelRecord& rec) {
+  const GpuSpec& spec = sys.spec;
+  const std::int64_t n = kernel.num_items();
+  const int wpb = std::max(1, cfg.warps_per_block);
+  std::int64_t total_warps =
+      cfg.grid_blocks > 0
+          ? static_cast<std::int64_t>(cfg.grid_blocks) * wpb
+          : static_cast<std::int64_t>(spec.num_sms) * spec.warps_per_sm;
+  total_warps = std::max<std::int64_t>(1, std::min(total_warps, n));
+  const std::int64_t chunk = (n + total_warps - 1) / total_warps;
+  run_blocks(sys, kernel, wpb, total_warps, chunk, rec);
 }
 
 void run_software_pool(MemorySystem& sys, WarpKernel& kernel,
@@ -305,7 +278,8 @@ void run_kernel(MemorySystem& sys, WarpKernel& kernel, const LaunchConfig& cfg,
   } else {
     switch (cfg.assignment) {
       case Assignment::kHardwareDynamic:
-        run_hardware_dynamic(sys, kernel, cfg, rec);
+        run_blocks(sys, kernel, std::max(1, cfg.warps_per_block),
+                   kernel.num_items(), /*chunk=*/1, rec);
         break;
       case Assignment::kStaticChunk:
         run_static_chunk(sys, kernel, cfg, rec);

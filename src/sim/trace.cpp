@@ -55,34 +55,6 @@ const AccessSite& SiteRegistry::site(std::uint32_t id) const {
   return *sites_[id];
 }
 
-const char* mem_event_kind_name(MemEvent::Kind k) {
-  switch (k) {
-    case MemEvent::Kind::kAlloc:
-      return "alloc";
-    case MemEvent::Kind::kFree:
-      return "free";
-    case MemEvent::Kind::kHostWrite:
-      return "host_write";
-    case MemEvent::Kind::kHostRead:
-      return "host_read";
-    case MemEvent::Kind::kReset:
-      return "reset";
-  }
-  return "?";
-}
-
-const char* access_kind_name(AccessKind k) {
-  switch (k) {
-    case AccessKind::kLoad:
-      return "load";
-    case AccessKind::kStore:
-      return "store";
-    case AccessKind::kAtomic:
-      return "atomic";
-  }
-  return "?";
-}
-
 int TraceAccess::active_lanes() const { return std::popcount(mask); }
 
 int TraceAccess::sectors() const {

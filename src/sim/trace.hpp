@@ -91,8 +91,6 @@ class SiteRegistry {
 
 enum class AccessKind : std::uint8_t { kLoad, kStore, kAtomic };
 
-const char* access_kind_name(AccessKind k);
-
 /// One warp-level memory request: up to 32 lane addresses issued together.
 struct TraceAccess {
   std::int64_t warp = -1;   ///< launch-unique warp id
@@ -153,8 +151,6 @@ struct MemEvent {
   std::int32_t launch = 0;
   std::int64_t pos = 0;
 };
-
-const char* mem_event_kind_name(MemEvent::Kind k);
 
 /// Per-launch access recorder. Attach to a Device (Device::attach_trace) to
 /// opt in; recording costs nothing when detached. A byte budget caps runaway

@@ -491,17 +491,6 @@ std::uint32_t WarpCtx::atomic_add_u32(DevPtr<std::uint32_t> base,
   return old;
 }
 
-float WarpCtx::atomic_add_scalar_f32(DevPtr<float> base, std::int64_t idx,
-                                     float v) {
-  const std::uint64_t a = base.addr(idx);
-  const float old = sys_->mem.read<float>(a);
-  sys_->mem.write<float>(a, old + v);
-  note_store(a, 4, /*atomic=*/true);
-  scalar(a, 4, Op::kAtomic);
-  sys_->rec->atomic_ops += 1;
-  return old;
-}
-
 float WarpCtx::reduce_sum(const WVec<float>& v, Mask m) {
   charge_alu(10);  // 5 butterfly shuffles + 5 adds
   float s = 0.0f;

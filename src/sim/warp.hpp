@@ -151,7 +151,6 @@ class WarpCtx {
   /// the previous value.
   std::uint32_t atomic_add_u32(DevPtr<std::uint32_t> base, std::int64_t idx,
                                std::uint32_t add);
-  float atomic_add_scalar_f32(DevPtr<float> base, std::int64_t idx, float v);
 
   // --- host-side performance hints (no simulation effect) ------------------
   /// Cache-warming hint for the simulator's own backing memory: prefetches

@@ -19,6 +19,9 @@ const OverheadModel kAdvisorOverhead{.dispatch_us_per_kernel = 110.0,
 const sim::LaunchConfig kAdvisorCfg{
     .assignment = sim::Assignment::kHardwareDynamic, .warps_per_block = 8};
 
+/// Neighbors per group (GNNAdvisor's default scale).
+constexpr int kGroupSize = 16;
+
 }  // namespace
 
 RunResult GnnAdvisorSystem::run(sim::Device& dev, const graph::Csr& g,
@@ -36,7 +39,7 @@ RunResult GnnAdvisorSystem::run(sim::Device& dev, const graph::Csr& g,
   const graph::Permutation order = graph::bfs_order(g);
   const graph::Csr rg = graph::apply_permutation(g, order);
   const kernels::NeighborGroups groups =
-      kernels::build_neighbor_groups(rg, opts_.group_size);
+      kernels::build_neighbor_groups(rg, kGroupSize);
   const double preprocessing_ms = prep.millis();
 
   // Features follow the permutation: new row i holds old row order[i].

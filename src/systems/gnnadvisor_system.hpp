@@ -13,15 +13,8 @@
 
 namespace tlp::systems {
 
-struct GnnAdvisorOptions {
-  int group_size = 16;  ///< neighbors per group (GNNAdvisor's default scale)
-};
-
 class GnnAdvisorSystem final : public GnnSystem {
  public:
-  GnnAdvisorSystem() = default;
-  explicit GnnAdvisorSystem(GnnAdvisorOptions opts) : opts_(opts) {}
-
   [[nodiscard]] std::string name() const override { return "GNNAdvisor"; }
 
   [[nodiscard]] bool supports(models::ModelKind kind,
@@ -34,9 +27,6 @@ class GnnAdvisorSystem final : public GnnSystem {
   RunResult run(sim::Device& dev, const graph::Csr& g,
                 const tensor::Tensor& feat,
                 const models::ConvSpec& spec) override;
-
- private:
-  GnnAdvisorOptions opts_;
 };
 
 }  // namespace tlp::systems

@@ -36,8 +36,6 @@ RunResult TlpgnnSystem::run_with_norm(sim::Device& dev, const graph::Csr& g,
   sim::DevPtr<float> dout = dev.alloc_zeroed<float>(dg.n * f);
 
   sim::LaunchConfig cfg;
-  cfg.warps_per_block = opts_.warps_per_block;
-  cfg.pool_step = opts_.pool_step;
   if (opts_.grid_blocks > 0) {
     // Fixed-grid sweep (Figure 11): a bounded warp set must cover all
     // vertices, which only the pool (or static) assignment can do.

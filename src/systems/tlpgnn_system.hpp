@@ -18,10 +18,6 @@ struct TlpgnnOptions {
   bool register_cache = true;
   /// Kernel fusion for GAT (§6, "+Fusion"); false = three-kernel GAT.
   bool fused_gat = true;
-  /// Warps per block (512 threads by default, the paper's setting).
-  int warps_per_block = 16;
-  /// Items per software-pool grab (Algorithm 1's step).
-  int pool_step = 16;
   /// If > 0, fixes the grid size (Figure 11's thread sweep) and forces the
   /// software-pool assignment so the fixed warp set covers all vertices.
   int grid_blocks = 0;

@@ -299,6 +299,32 @@ if(NOT mode16 STREQUAL "fuzz")
 endif()
 file(REMOVE "${fuzz_report}")
 
+# Case 16b: the --expect-bugs battery is fixed, so a campaign flag next to it
+# is a usage error naming the flag, before anything runs or writes a report.
+function(expect_fuzz_self_check_rejected flag)
+  file(REMOVE "${fuzz_report}")
+  execute_process(
+    COMMAND "${TLPFUZZ}" --expect-bugs ${ARGN} --json "${fuzz_report}"
+    RESULT_VARIABLE rc
+    ERROR_VARIABLE err
+    OUTPUT_QUIET)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR
+            "tlpfuzz --expect-bugs ${ARGN}: expected exit 2, got ${rc}")
+  endif()
+  if(NOT err MATCHES "flag --${flag}")
+    message(FATAL_ERROR
+            "tlpfuzz --expect-bugs ${ARGN}: diagnostic must name --${flag}, "
+            "got: ${err}")
+  endif()
+  if(EXISTS "${fuzz_report}")
+    message(FATAL_ERROR "rejected tlpfuzz --expect-bugs ${ARGN} wrote a report")
+  endif()
+endfunction()
+expect_fuzz_self_check_rejected(iters --iters 1)
+expect_fuzz_self_check_rejected(repro
+  --repro "${CMAKE_CURRENT_LIST_DIR}/../repros/case_4445_ring_shrink.el")
+
 # Case 17: tlplint rejects a non-boolean --serve before any analysis runs.
 execute_process(
   COMMAND "${TLPLINT}" --serve maybe

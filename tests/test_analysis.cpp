@@ -100,7 +100,7 @@ class AtomicOnlyKernel final : public WarpKernel {
   [[nodiscard]] std::string name() const override { return "seeded_atomic"; }
   void run_item(WarpCtx& warp, std::int64_t /*item*/) override {
     warp.site(TLP_SITE("hot_atomic"));
-    (void)warp.atomic_add_scalar_f32(buf_, 0, 1.0f);
+    warp.atomic_add_f32(buf_, WVec<std::int64_t>{}, WVec<float>{1.0f}, 0x1u);
   }
 
  private:
@@ -158,7 +158,7 @@ class AtomicPlainMixKernel final : public WarpKernel {
   void run_item(WarpCtx& warp, std::int64_t item) override {
     if (item % 2 == 0) {
       warp.site(TLP_SITE("mix_atomic"));
-      (void)warp.atomic_add_scalar_f32(buf_, 0, 1.0f);
+      warp.atomic_add_f32(buf_, WVec<std::int64_t>{}, WVec<float>{1.0f}, 0x1u);
     } else {
       warp.site(TLP_SITE("mix_plain"));
       warp.store_scalar_f32(buf_, 0, 1.0f);

@@ -118,7 +118,7 @@ TEST(FaultInjection, DegradationCanBeDisabled) {
   Workload w = make_workload(models::ModelKind::kGcn, ring_graph(64));
   EngineOptions opts;
   opts.device.faults.oom_at_alloc = 1;
-  opts.degrade.enabled = false;
+  opts.degrade = false;
   Engine engine(opts);
   EXPECT_THROW((void)engine.conv(w.g, w.feat, w.spec), OutOfMemory);
 }
@@ -200,7 +200,8 @@ class AtomicPushKernel final : public sim::WarpKernel {
   [[nodiscard]] std::int64_t num_items() const override { return 8; }
   [[nodiscard]] std::string name() const override { return "atomic_push"; }
   void run_item(sim::WarpCtx& warp, std::int64_t item) override {
-    (void)warp.atomic_add_scalar_f32(buf_, 0, static_cast<float>(item));
+    warp.atomic_add_f32(buf_, sim::WVec<std::int64_t>{},
+                        sim::WVec<float>{static_cast<float>(item)}, 0x1u);
   }
 
  private:

@@ -56,7 +56,7 @@ TEST(FuzzLoop, ReportSerializesToJson) {
 }
 
 TEST(ExpectBugs, EverySeededMutantIsCaught) {
-  const ExpectBugsReport rep = run_expect_bugs(600);
+  const ExpectBugsReport rep = run_expect_bugs();
   EXPECT_EQ(rep.mutants.size(), mutant_runners().size());
   EXPECT_TRUE(rep.all_caught());
   for (const auto& m : rep.mutants) {
@@ -66,9 +66,9 @@ TEST(ExpectBugs, EverySeededMutantIsCaught) {
 }
 
 TEST(ExpectBugs, RowBoundMutantMinimizesTiny) {
-  // The ISSUE acceptance bar: the broken row-bounds kernel's failing graph
-  // must shrink to <= 8 vertices.
-  const ExpectBugsReport rep = run_expect_bugs(600);
+  // The self-check's bar: the broken row-bounds kernel's failing graph must
+  // shrink to <= 8 vertices.
+  const ExpectBugsReport rep = run_expect_bugs();
   bool found = false;
   for (const auto& m : rep.mutants) {
     if (m.name.find("rowbound") == std::string::npos) continue;

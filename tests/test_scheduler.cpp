@@ -4,9 +4,16 @@
 // does.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <vector>
 
+#include "common/rng.hpp"
+#include "graph/generators.hpp"
+#include "kernels/conv_common.hpp"
+#include "kernels/gather_pull.hpp"
+#include "sim/device.hpp"
 #include "sim/scheduler.hpp"
+#include "tensor/tensor.hpp"
 
 namespace tlp::sim {
 namespace {
@@ -201,6 +208,98 @@ TEST(Scheduler, ThreadScalingReducesElapsed) {
   const double t64 = run(64);
   EXPECT_GT(t1, 4.0 * t8);
   EXPECT_GT(t8, 2.0 * t64);
+}
+
+/// Every KernelRecord field perfbench's sim digest folds.
+void expect_same_record(const KernelRecord& a, const KernelRecord& b) {
+  EXPECT_EQ(a.name, b.name);
+  EXPECT_EQ(a.warps, b.warps);
+  EXPECT_EQ(a.blocks, b.blocks);
+  EXPECT_EQ(a.warps_per_block, b.warps_per_block);
+  EXPECT_EQ(a.issue_cycles, b.issue_cycles);
+  EXPECT_EQ(a.mem_stall_cycles, b.mem_stall_cycles);
+  EXPECT_EQ(a.atomic_stall_cycles, b.atomic_stall_cycles);
+  EXPECT_EQ(a.requests, b.requests);
+  EXPECT_EQ(a.sectors, b.sectors);
+  EXPECT_EQ(a.bytes_load, b.bytes_load);
+  EXPECT_EQ(a.bytes_store, b.bytes_store);
+  EXPECT_EQ(a.bytes_atomic, b.bytes_atomic);
+  EXPECT_EQ(a.bytes_dram, b.bytes_dram);
+  EXPECT_EQ(a.l1_accesses, b.l1_accesses);
+  EXPECT_EQ(a.l1_hits, b.l1_hits);
+  EXPECT_EQ(a.l2_accesses, b.l2_accesses);
+  EXPECT_EQ(a.l2_hits, b.l2_hits);
+  EXPECT_EQ(a.atomic_ops, b.atomic_ops);
+  EXPECT_EQ(a.elapsed_cycles, b.elapsed_cycles);
+  EXPECT_EQ(a.resident_warp_integral, b.resident_warp_integral);
+  EXPECT_EQ(a.launch_overhead_us, b.launch_overhead_us);
+}
+
+/// Hardware dynamic is static chunking with one item per warp: a static
+/// grid of ceil(n / wpb) blocks gives every item its own warp, so both
+/// policies must produce the same record and the same output bits.
+LaunchConfig one_item_per_warp(Assignment a, std::int64_t n, int wpb) {
+  LaunchConfig cfg;
+  cfg.assignment = a;
+  cfg.warps_per_block = wpb;
+  if (a == Assignment::kStaticChunk)
+    cfg.grid_blocks = static_cast<int>((n + wpb - 1) / wpb);
+  return cfg;
+}
+
+TEST(Scheduler, HardwareDynamicIsStaticChunkOfOneItem) {
+  // 1001 items: not a multiple of 3 or 16, so every width has a short tail
+  // block.
+  const std::int64_t n = 1001;
+  std::vector<double> costs(static_cast<std::size_t>(n));
+  for (std::size_t i = 0; i < costs.size(); ++i)
+    costs[i] = i % 97 == 0 ? 3000.0 : static_cast<double>(4 + (i * 37) % 200);
+  for (const int wpb : {1, 3, 16}) {
+    SCOPED_TRACE("wpb=" + std::to_string(wpb));
+    KernelRecord recs[2];
+    std::vector<std::uint32_t> marks[2];
+    int i = 0;
+    for (const Assignment a :
+         {Assignment::kHardwareDynamic, Assignment::kStaticChunk}) {
+      MemorySystem sys(GpuSpec::v100());
+      CountingKernel k(sys, n, costs);
+      run_kernel(sys, k, one_item_per_warp(a, n, wpb), recs[i]);
+      marks[i++] = k.marks();
+    }
+    expect_same_record(recs[0], recs[1]);
+    EXPECT_EQ(recs[0].warps, n);
+    EXPECT_EQ(marks[0], marks[1]);
+  }
+}
+
+TEST(Scheduler, HardwareDynamicIsStaticChunkOfOneItemForGcn) {
+  Rng gen(5);
+  const graph::Csr g = graph::power_law(1001, 8000, 2.1, gen);
+  const tensor::Tensor h = tensor::Tensor::random(g.num_vertices(), 40, gen);
+  const std::int64_t n = g.num_vertices();
+  for (const int wpb : {1, 3, 16}) {
+    SCOPED_TRACE("wpb=" + std::to_string(wpb));
+    KernelRecord recs[2];
+    std::vector<std::uint32_t> bits[2];
+    int i = 0;
+    for (const Assignment a :
+         {Assignment::kHardwareDynamic, Assignment::kStaticChunk}) {
+      Device dev;
+      const kernels::DeviceGraph dg = kernels::upload_graph(dev, g);
+      const DevPtr<float> dfeat = kernels::upload_features(dev, h);
+      const DevPtr<float> dout = dev.alloc_zeroed<float>(n * h.cols());
+      kernels::GatherPullKernel k(dg, dfeat, dout, h.cols(),
+                                  {models::ModelKind::kGcn, 0.0f});
+      recs[i] = dev.launch(k, one_item_per_warp(a, n, wpb));
+      for (const float x : dev.download(dout))
+        bits[i].push_back(std::bit_cast<std::uint32_t>(x));
+      ++i;
+    }
+    expect_same_record(recs[0], recs[1]);
+    EXPECT_EQ(recs[0].warps, n);
+    EXPECT_GT(recs[0].requests, 0);
+    EXPECT_EQ(bits[0], bits[1]);
+  }
 }
 
 TEST(Scheduler, RecordRestoredAfterRun) {

@@ -405,7 +405,6 @@ TEST(Server, UnrecoverableStormFailsWithProvenance) {
   const World w = make_world();
   const auto traffic = generate_traffic(w.g, w.feat, small_traffic(16));
   ServerOptions s = small_server();
-  s.fallback.enabled = false;  // no ladder below direct retries
   StormEvent storm;
   storm.at_request = 4;
   storm.plan.launch_every = 4;
@@ -528,7 +527,6 @@ TEST(Server, RejectsMalformedInputs) {
 TEST(RetryPolicy, BackoffGrowsExponentiallyWithBoundedJitter) {
   RetryPolicy p;
   p.base_delay_ms = 1.0;
-  p.multiplier = 2.0;
   p.jitter_frac = 0.25;
   Rng rng(3);
   for (int retry = 0; retry < 5; ++retry) {

@@ -486,7 +486,7 @@ TEST(FrontEndEquivalence, OutOfRangeRunThrows) {
     // moves: n above the stride, a run at or above 32/stride, a stride
     // that is not a power of two in [1, 32].
     start[1] = 0;
-    for (const auto [runs, stride, n] :
+    for (const auto& [runs, stride, n] :
          {std::tuple{0b10u, 8, 9}, std::tuple{0b10000u, 8, 8},
           std::tuple{0b1u, 3, 3}, std::tuple{0b1u, 64, 1},
           std::tuple{0b1u, 0, 0}}) {
@@ -540,16 +540,6 @@ TEST(FrontEndEquivalence, ScalarMatchesOneLane) {
           t.warp.store_scalar_f32(t.f32, i, -1.5f);
         else
           t.warp.store_f32(t.f32, idx, v, 0x1u);
-      },
-      [](Twin& t, std::int64_t i, bool s) {
-        WVec<std::int64_t> idx{};
-        idx[0] = i;
-        WVec<float> v{};
-        v[0] = 2.0f;
-        if (s)
-          (void)t.warp.atomic_add_scalar_f32(t.f32, i, 2.0f);
-        else
-          t.warp.atomic_add_f32(t.f32, idx, v, 0x1u);
       },
   };
   for (std::int64_t i = 0; i < 96; ++i) {

@@ -4,7 +4,9 @@
 //   tlpfuzz --time-budget 30             # stop after ~30 s instead
 //   tlpfuzz --expect-bugs                # self-check: seeded-bug kernels
 //                                        # must ALL be caught (exit 1 if the
-//                                        # harness misses one)
+//                                        # harness misses one); its battery
+//                                        # is fixed, so campaign flags are
+//                                        # usage errors here
 //   tlpfuzz --repro crash.el             # replay a minimized repro through
 //                                        # every oracle and model
 //   tlpfuzz --json report.json           # also write the JSON report
@@ -61,6 +63,17 @@ int run(const tlp::Args& args) {
     std::cerr << "error: unknown flag --" << *unknown << "\n";
     return 2;
   }
+  const bool expect_bugs = args.get_bool("expect-bugs", false);
+  if (expect_bugs) {
+    for (const char* flag :
+         {"iters", "seed", "time-budget", "repro", "repro-dir"}) {
+      if (args.has(flag)) {
+        std::cerr << "error: flag --" << flag
+                  << " does not apply to --expect-bugs (fixed battery)\n";
+        return 2;
+      }
+    }
+  }
 
   tlp::fuzz::FuzzOptions opts;
   opts.seed = static_cast<std::uint64_t>(
@@ -70,12 +83,11 @@ int run(const tlp::Args& args) {
   opts.time_budget_s = args.get_double_checked("time-budget", 0.0, 0.0, 1e9);
   opts.repro_dir = args.get("repro-dir", "");
   opts.verbose = args.get_bool("verbose", false);
-  const bool expect_bugs = args.get_bool("expect-bugs", false);
 
   try {
     if (expect_bugs) {
       const tlp::fuzz::ExpectBugsReport rep =
-          tlp::fuzz::run_expect_bugs(2000, opts.verbose);
+          tlp::fuzz::run_expect_bugs(opts.verbose);
       for (const auto& m : rep.mutants) {
         std::cout << (m.caught ? "caught " : "MISSED ") << m.name;
         if (m.caught) {
