@@ -287,10 +287,11 @@ void BM_PowerLawGenerator(benchmark::State& state) {
 BENCHMARK(BM_PowerLawGenerator)->Arg(1000)->Arg(20000);
 
 // build_csr on the edge lists its callers hand it. Arg 0: replica synthesis,
-// a shuffled 1M-edge power-law list. Arg 1: serving, the presorted dst-major
-// list of the 2-hop ego around the PD replica's largest hub, capped at 512
-// vertices. Each iteration copies the list in, since build_csr takes it by
-// value.
+// a shuffled 1M-edge power-law list. Arg 1: ego scale, the presorted
+// dst-major list of the 2-hop ego around the PD replica's largest hub,
+// capped at 512 vertices; the serving fallback's graph::extract_partition
+// builds lists of this order and size from one request's ego. Each iteration
+// copies the list in, since build_csr takes it by value.
 void BM_BuildCsr(benchmark::State& state) {
   Rng rng(6);
   graph::Csr g;
@@ -319,22 +320,49 @@ void BM_BuildCsr(benchmark::State& state) {
 BENCHMARK(BM_BuildCsr)->Arg(0)->Arg(1);
 
 // Per-request ego extraction of the serving tier: 2-hop egos capped at 512
-// vertices around seeded query vertices of the PD replica.
+// vertices around seeded query vertices of the PD replica. Arg 0: the
+// one-shot ego_subgraph call, which sizes a fresh table per request. Arg 1:
+// one EgoExtractor reused across requests, as generate_traffic runs it.
 void BM_EgoSubgraph(benchmark::State& state) {
   const graph::Csr g = graph::make_dataset(graph::dataset_by_abbr("PD"));
+  serve::EgoExtractor egos(g);
   Rng rng(7);
   std::int64_t vertices = 0;
   for (auto _ : state) {
     const auto q = static_cast<graph::VertexId>(
         rng.next_below(static_cast<std::uint64_t>(g.num_vertices())));
-    const graph::LocalGraph ego = serve::ego_subgraph(g, q, 2, 512);
+    const graph::LocalGraph ego = state.range(0) == 0
+                                      ? serve::ego_subgraph(g, q, 2, 512)
+                                      : egos.extract(q, 2, 512);
     vertices += ego.csr.num_vertices();
     benchmark::DoNotOptimize(ego.csr.indices().data());
   }
   state.counters["ego_vertices"] = static_cast<double>(vertices) /
                                    static_cast<double>(state.iterations());
 }
-BENCHMARK(BM_EgoSubgraph);
+BENCHMARK(BM_EgoSubgraph)->Arg(0)->Arg(1);
+
+// The serving tier's traffic synthesis end to end: 2,000 Poisson requests
+// with 2-hop egos capped at 512 vertices over the PD replica at 200K edges
+// (the perfbench serve replica), each with its gathered F=32 feature rows.
+void BM_GenerateTraffic(benchmark::State& state) {
+  const graph::Csr g = graph::make_dataset(graph::dataset_by_abbr("PD"),
+                                           {.max_edges = 200'000, .seed = 7});
+  Rng rng(7);
+  const tensor::Tensor feat = tensor::Tensor::random(g.num_vertices(), 32, rng);
+  serve::TrafficOptions t;
+  t.num_requests = 2000;
+  t.hops = 2;
+  t.max_ego_vertices = 512;
+  t.seed = 7;
+  for (auto _ : state) {
+    const std::vector<serve::Request> reqs =
+        serve::generate_traffic(g, feat, t);
+    benchmark::DoNotOptimize(reqs.data());
+  }
+  state.SetItemsProcessed(state.iterations() * t.num_requests);
+}
+BENCHMARK(BM_GenerateTraffic)->Unit(benchmark::kMillisecond);
 
 void BM_CsrReverse(benchmark::State& state) {
   Rng rng(5);

@@ -13,16 +13,6 @@ namespace {
 
 using graph::VertexId;
 
-/// Queries drawn per warm-up round. Each query replays the live popularity
-/// law and expands the same k-hop ego the live request would, so sampled
-/// frequency estimates true gather frequency.
-constexpr std::int64_t kWarmupQueriesPerRound = 256;
-
-/// Seed of the warm-up draw stream. Independent of the traffic seed (which
-/// fixes the popularity permutation itself), so warm-up samples the law
-/// without replaying the literal request sequence.
-constexpr std::uint64_t kWarmupSeed = 0x5eedCac4eULL;
-
 /// Simulated bandwidth of a missed row: scattered single-row pulls over the
 /// host link (PCIe 3.0 x16 is ~12 GB/s streaming; random 64–512 B rows
 /// derate it heavily). Unit: GB/s.
@@ -109,16 +99,17 @@ FeatureCache::FeatureCache(const graph::Csr& g, const tensor::Tensor& feat,
       Rng perm_rng(traffic.seed);
       const QueryStream stream(n, traffic.zipf_alpha, perm_rng);
       Rng warm(kWarmupSeed);
+      EgoExtractor egos(g);
       // n == 0 leaves the stream empty (draw() would fail loudly) and
       // warmup_rounds == 0 (`--cache-rounds 0`) is a valid configuration:
       // both leave every score zero, so drop_zero_scores pins nothing and
       // the cache degrades to the uncached gather path.
       for (int round = 0; n > 0 && round < opts.warmup_rounds; ++round) {
         for (std::int64_t q = 0; q < kWarmupQueriesPerRound; ++q) {
+          // Only the vertex set is counted, so no ego CSR is built.
           const VertexId query = stream.draw(warm);
-          const graph::LocalGraph ego = ego_subgraph(
-              g, query, traffic.hops, traffic.max_ego_vertices);
-          for (const VertexId u : ego.to_global) {
+          for (const VertexId u : egos.vertices(query, traffic.hops,
+                                                traffic.max_ego_vertices)) {
             ++score[static_cast<std::size_t>(u)];
           }
         }

@@ -49,6 +49,16 @@ enum class CachePolicy {
 /// Parses "none" / "degree" / "presample"; TLP_CHECK-fails on anything else.
 [[nodiscard]] CachePolicy cache_policy_from_name(const std::string& name);
 
+/// Queries drawn per warm-up round. Each query replays the live popularity
+/// law and expands the same k-hop ego the live request would, so sampled
+/// frequency estimates true gather frequency.
+inline constexpr std::int64_t kWarmupQueriesPerRound = 256;
+
+/// Seed of the warm-up draw stream. Independent of the traffic seed (which
+/// fixes the popularity permutation itself), so warm-up samples the law
+/// without replaying the literal request sequence.
+inline constexpr std::uint64_t kWarmupSeed = 0x5eedCac4eULL;
+
 struct FeatureCacheOptions {
   CachePolicy policy = CachePolicy::kPresample;
   /// Fraction of |V| whose rows are pinned (the C of top-C), clamped to

@@ -35,6 +35,8 @@ struct RetryPolicy {
 };
 
 struct FallbackPolicy {
+  /// Part count of the first partitioned attempt; at least 2, since one
+  /// part is the direct path the fallback replaces.
   int initial_partitions = 2;
   /// Partitioned attempts (part count doubles per attempt).
   int max_attempts = 2;

@@ -97,7 +97,8 @@ Server::Server(const ServerOptions& opts, FeatureCache* cache)
   TLP_CHECK_GE(opts_.batch_window_ms, 0);
   TLP_CHECK_GE(opts_.retry.max_retries, 0);
   TLP_CHECK_GE(opts_.retry.base_delay_ms, 0);
-  TLP_CHECK_GE(opts_.fallback.initial_partitions, 1);
+  // One partition is the direct path, so the ladder starts at two.
+  TLP_CHECK_GE(opts_.fallback.initial_partitions, 2);
   TLP_CHECK_GE(opts_.fallback.max_attempts, 1);
   TLP_CHECK_GT(opts_.breaker.failure_threshold, 0);
   TLP_CHECK_GE(opts_.breaker.cooldown_ms, 0);
@@ -196,7 +197,7 @@ ServeResult Server::run(const std::vector<Request>& traffic,
     // Partitioned fallback: bit-identical output, doubling part count. A
     // graph of < 2 vertices cannot be split; such a request can only fail.
     if (g.num_vertices() >= 2) {
-      int k = std::max(2, opts_.fallback.initial_partitions);
+      int k = opts_.fallback.initial_partitions;
       for (int a = 0; a < opts_.fallback.max_attempts; ++a) {
         k = std::min<int>(k, g.num_vertices());
         ++out.fallback_attempts;

@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "common/check.hpp"
-#include "graph/builder.hpp"
 
 namespace tlp::serve {
 
@@ -39,36 +38,6 @@ std::vector<VertexId> rank_to_vertex(VertexId n, Rng& rng) {
   }
   return perm;
 }
-
-/// Open-addressing set of vertex ids sized for at most `max_members`
-/// members: the BFS visited set of one ego extraction. Sized by the ego cap
-/// instead of |V|, so a request costs O(ego) however large the graph is.
-class VisitedSet {
- public:
-  explicit VisitedSet(std::int64_t max_members)
-      : slots_(std::bit_ceil(2 * static_cast<std::uint64_t>(max_members)),
-               -1),
-        shift_(64 - std::countr_zero(slots_.size())) {}
-
-  /// Adds `v`; false if it was already a member.
-  bool insert(VertexId v) {
-    const std::size_t mask = slots_.size() - 1;
-    // Fibonacci hash; the table is at most half full, so probing ends.
-    for (std::size_t i = (static_cast<std::uint64_t>(v) *
-                          0x9E3779B97F4A7C15ull) >> shift_;
-         ; i = (i + 1) & mask) {
-      if (slots_[i] == v) return false;
-      if (slots_[i] < 0) {
-        slots_[i] = v;
-        return true;
-      }
-    }
-  }
-
- private:
-  std::vector<VertexId> slots_;  ///< -1 = empty
-  int shift_;
-};
 
 }  // namespace
 
@@ -113,53 +82,107 @@ tensor::Tensor gather_rows(const tensor::Tensor& feat,
   return out;
 }
 
-graph::LocalGraph ego_subgraph(const graph::Csr& g, VertexId query, int hops,
-                               std::int64_t max_vertices) {
+EgoExtractor::Slot& EgoExtractor::probe(VertexId v) {
+  const std::size_t mask = table_.size() - 1;
+  // Fibonacci hash; the table is at most half full, so probing ends.
+  std::size_t i = (static_cast<std::uint64_t>(v) * 0x9E3779B97F4A7C15ull) >>
+                  shift_;
+  while (table_[i].key != v && table_[i].key >= 0) i = (i + 1) & mask;
+  return table_[i];
+}
+
+void EgoExtractor::collect(VertexId query, int hops,
+                           std::int64_t max_vertices) {
+  const graph::Csr& g = *g_;
   TLP_CHECK_MSG(query >= 0 && query < g.num_vertices(),
                 "ego query vertex " << query << " out of range (|V|="
                                     << g.num_vertices() << ")");
   TLP_CHECK_GE(hops, 0);
   TLP_CHECK_GE(max_vertices, 1);
 
-  // BFS; ids[level_begin, level_end) is the current hop's frontier.
-  VisitedSet seen(std::min<std::int64_t>(max_vertices, g.num_vertices()));
-  seen.insert(query);
-  std::vector<VertexId> ids{query};
+  // Clear the previous query's slots. The table only grows, to the largest
+  // cap asked for so far, so it stays at most half full.
+  for (const std::size_t s : touched_) table_[s].key = -1;
+  touched_.clear();
+  const std::size_t slots = std::bit_ceil(
+      2 * static_cast<std::uint64_t>(
+              std::min<std::int64_t>(max_vertices, g.num_vertices())));
+  if (table_.size() < slots) {
+    table_.assign(slots, Slot{});
+    shift_ = 64 - std::countr_zero(slots);
+  }
+  const auto insert = [this](VertexId v) {
+    Slot& s = probe(v);
+    if (s.key == v) return false;
+    s.key = v;
+    touched_.push_back(static_cast<std::size_t>(&s - table_.data()));
+    return true;
+  };
+
+  // BFS; ids_[level_begin, level_end) is the current hop's frontier.
+  insert(query);
+  ids_.assign(1, query);
   const auto full = [&] {
-    return static_cast<std::int64_t>(ids.size()) >= max_vertices;
+    return static_cast<std::int64_t>(ids_.size()) >= max_vertices;
   };
   std::size_t level_begin = 0;
-  for (int h = 0; h < hops && level_begin < ids.size() && !full(); ++h) {
-    const std::size_t level_end = ids.size();
+  for (int h = 0; h < hops && level_begin < ids_.size() && !full(); ++h) {
+    const std::size_t level_end = ids_.size();
     for (std::size_t i = level_begin; i < level_end && !full(); ++i) {
-      for (const VertexId u : g.neighbors(ids[i])) {
+      for (const VertexId u : g.neighbors(ids_[i])) {
         if (full()) break;
-        if (seen.insert(u)) ids.push_back(u);
+        if (insert(u)) ids_.push_back(u);
       }
     }
     level_begin = level_end;
   }
+  std::sort(ids_.begin(), ids_.end());
+}
 
-  // The same edges, in the same order, as graph::induced_subgraph over the
-  // visited set builds: kept rows in id order, each in CSR order, sources
-  // relabeled by their rank among the kept ids.
-  std::sort(ids.begin(), ids.end());
-  std::vector<graph::Edge> edges;
-  for (std::size_t lv = 0; lv < ids.size(); ++lv) {
-    for (const VertexId u : g.neighbors(ids[lv])) {
-      const auto it = std::lower_bound(ids.begin(), ids.end(), u);
-      if (it != ids.end() && *it == u) {
-        edges.push_back({static_cast<VertexId>(it - ids.begin()),
-                         static_cast<VertexId>(lv)});
-      }
-    }
+std::span<const VertexId> EgoExtractor::vertices(VertexId query, int hops,
+                                                 std::int64_t max_vertices) {
+  collect(query, hops, max_vertices);
+  return ids_;
+}
+
+graph::LocalGraph EgoExtractor::extract(VertexId query, int hops,
+                                        std::int64_t max_vertices,
+                                        VertexId* query_local) {
+  collect(query, hops, max_vertices);
+  const std::size_t n = ids_.size();
+  for (std::size_t lv = 0; lv < n; ++lv) {
+    probe(ids_[lv]).local = static_cast<VertexId>(lv);
   }
+
+  // The rows graph::induced_subgraph builds over the kept set: kept rows in
+  // id order, each source relabeled by its rank among the kept ids. Ranks
+  // keep the global order, so a sorted global row stays sorted; a row that
+  // is not is sorted in place, as build_csr would emit it.
+  std::vector<graph::EdgeOffset> indptr(n + 1, 0);
+  rows_.clear();
+  for (std::size_t lv = 0; lv < n; ++lv) {
+    const std::size_t row_begin = rows_.size();
+    for (const VertexId u : g_->neighbors(ids_[lv])) {
+      const Slot& s = probe(u);
+      if (s.key == u) rows_.push_back(s.local);
+    }
+    const auto first = rows_.begin() + static_cast<std::ptrdiff_t>(row_begin);
+    if (!std::is_sorted(first, rows_.end())) std::sort(first, rows_.end());
+    indptr[lv + 1] = static_cast<graph::EdgeOffset>(rows_.size());
+  }
+  if (query_local != nullptr) *query_local = probe(query).local;
+
   graph::LocalGraph out;
-  out.csr = graph::build_csr(static_cast<VertexId>(ids.size()),
-                             std::move(edges), {.dedup = false});
-  out.num_owned = static_cast<VertexId>(ids.size());
-  out.to_global = std::move(ids);
+  out.csr = graph::Csr(std::move(indptr),
+                       std::vector<VertexId>(rows_.begin(), rows_.end()));
+  out.to_global.assign(ids_.begin(), ids_.end());
+  out.num_owned = static_cast<VertexId>(n);
   return out;
+}
+
+graph::LocalGraph ego_subgraph(const graph::Csr& g, VertexId query, int hops,
+                               std::int64_t max_vertices) {
+  return EgoExtractor(g).extract(query, hops, max_vertices);
 }
 
 std::vector<Request> generate_traffic(const graph::Csr& g,
@@ -176,6 +199,7 @@ std::vector<Request> generate_traffic(const graph::Csr& g,
   Rng rng(opts.seed);
   const QueryStream queries(g.num_vertices(), opts.zipf_alpha, rng);
 
+  EgoExtractor egos(g);
   std::vector<Request> out;
   out.reserve(static_cast<std::size_t>(opts.num_requests));
   double clock = 0;
@@ -197,14 +221,8 @@ std::vector<Request> generate_traffic(const graph::Csr& g,
     req.arrival_ms = clock;
     req.deadline_ms = opts.deadline_ms > 0 ? clock + opts.deadline_ms : 0;
     req.query = query;
-    req.ego = ego_subgraph(g, query, opts.hops, opts.max_ego_vertices);
-
-    // Local id of the query: its position among the kept, id-ordered set.
-    const auto it = std::lower_bound(req.ego.to_global.begin(),
-                                     req.ego.to_global.end(), query);
-    TLP_CHECK(it != req.ego.to_global.end() && *it == query);
-    req.query_local = static_cast<VertexId>(it - req.ego.to_global.begin());
-
+    req.ego = egos.extract(query, opts.hops, opts.max_ego_vertices,
+                           &req.query_local);
     req.feat = gather_rows(feat, req.ego.to_global);
     out.push_back(std::move(req));
   }

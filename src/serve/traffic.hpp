@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -49,9 +50,55 @@ struct TrafficOptions {
 
 /// Ego subgraph around one query vertex: the <= `hops`-step in-neighborhood
 /// (capped at `max_vertices`, closer vertices first), induced and relabeled
-/// in global id order. Exposed for tests and direct single-request use.
+/// in global id order. Each local row lists its sources in increasing order,
+/// duplicate edges kept: the graph::induced_subgraph of the kept set. A
+/// one-shot EgoExtractor call, for tests and direct single-request use.
 graph::LocalGraph ego_subgraph(const graph::Csr& g, graph::VertexId query,
                                int hops, std::int64_t max_vertices);
+
+/// Ego extraction with its scratch kept across calls: generate_traffic and
+/// the presample warm-up run one extractor over their whole query loop. An
+/// open-addressing table maps each kept global id to its local id. It holds
+/// 2·min(cap, |V|) slots rounded up to a power of two for the largest cap
+/// asked for so far, and each call clears only the slots the previous one
+/// filled, so a request costs O(ego) however large |V| is. Each kept row is
+/// relabeled with one table probe per in-neighbor and appended in place.
+/// `g` must outlive the extractor; calls mutate its scratch, so a thread
+/// needs its own.
+class EgoExtractor {
+ public:
+  explicit EgoExtractor(const graph::Csr& g) : g_(&g) {}
+  explicit EgoExtractor(const graph::Csr&&) = delete;  ///< would dangle
+
+  /// ego_subgraph(g, query, hops, max_vertices). `query_local`, when given,
+  /// receives the query's local id.
+  graph::LocalGraph extract(graph::VertexId query, int hops,
+                            std::int64_t max_vertices,
+                            graph::VertexId* query_local = nullptr);
+
+  /// The ego's vertex set alone, sorted: extract(...).to_global with no CSR
+  /// built. Points into the extractor, valid until its next call.
+  std::span<const graph::VertexId> vertices(graph::VertexId query, int hops,
+                                            std::int64_t max_vertices);
+
+ private:
+  struct Slot {
+    graph::VertexId key = -1;  ///< global id; -1 = empty
+    graph::VertexId local = 0;
+  };
+
+  /// BFS from `query` into ids_ and the table, then sorts ids_.
+  void collect(graph::VertexId query, int hops, std::int64_t max_vertices);
+  /// The slot holding `v`, or the empty slot where its probe ends.
+  Slot& probe(graph::VertexId v);
+
+  const graph::Csr* g_;
+  std::vector<Slot> table_;
+  int shift_ = 0;                        ///< 64 - log2(table_.size())
+  std::vector<std::size_t> touched_;     ///< slots filled since the last clear
+  std::vector<graph::VertexId> ids_;     ///< kept ids: BFS order, then sorted
+  std::vector<graph::VertexId> rows_;    ///< relabeled rows, concatenated
+};
 
 /// The query-popularity law of the traffic stream, factored out of
 /// generate_traffic so the pre-sampling feature cache (feature_cache.hpp)

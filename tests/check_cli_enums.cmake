@@ -339,3 +339,47 @@ if(NOT err17 MATCHES "flag --serve" OR err17 MATCHES "analyzing")
           "tlplint --serve maybe: must name --serve before any analysis, "
           "got: ${err17}")
 endif()
+
+# Cases 18-21: tlpserve rejects a flag it would not read, before any work:
+# exit `code`, a diagnostic naming `--flag`, no SLO table and no --json
+# report. In cases 19-21 a flag of a group without the group's anchor is a
+# usage error, never a CHECK failure (exit 1) and never a flag silently
+# dropped.
+set(serve_report "${CMAKE_CURRENT_BINARY_DIR}/cli_enums_serve.json")
+function(expect_tlpserve_rejected code flag)
+  file(REMOVE "${serve_report}")
+  execute_process(
+    COMMAND "${TLPSERVE}" --max-edges 2000 --requests 4 ${ARGN}
+            --json "${serve_report}"
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+  list(JOIN ARGN " " args)
+  if(NOT rc EQUAL code)
+    message(FATAL_ERROR "tlpserve ${args}: expected exit ${code}, got ${rc}")
+  endif()
+  if(NOT err MATCHES "flag --${flag}")
+    message(FATAL_ERROR
+            "tlpserve ${args}: diagnostic must name --${flag}, got: ${err}")
+  endif()
+  if(out MATCHES "SLO metric")
+    message(FATAL_ERROR "rejected tlpserve ${args} printed an SLO table")
+  endif()
+  if(EXISTS "${serve_report}")
+    message(FATAL_ERROR "rejected tlpserve ${args} wrote a report")
+  endif()
+endfunction()
+# Case 18: one partition is the direct path, so the fallback's first part
+# count starts at 2 (1 used to run as 2). An out-of-range value exits 1.
+expect_tlpserve_rejected(1 partitions --partitions 1)
+# Case 19: the storm flags need --storm-at, and --storm-at needs a fault
+# period.
+expect_tlpserve_rejected(2 storm-oom-every --storm-oom-every 60)
+expect_tlpserve_rejected(2 storm-oom-burst --storm-oom-burst 4)
+expect_tlpserve_rejected(2 storm-at --storm-at 2)
+# Case 20: the cache flags need --cache-policy.
+expect_tlpserve_rejected(2 cache-ratio --cache-ratio 0.2)
+# Case 21: the burst-shape flags need --arrival bursty.
+expect_tlpserve_rejected(2 burst-len --burst-len 3)
+expect_tlpserve_rejected(2 burst-speedup --arrival poisson --burst-speedup 2)
+expect_tlpserve_rejected(2 idle-gap-ms --idle-gap-ms 5)

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <set>
 
 #include "common/check.hpp"
@@ -115,6 +116,41 @@ TEST(FeatureCache, RespectsBudgetAndPolicy) {
   for (const graph::VertexId v : by_freq.pinned_vertices()) {
     EXPECT_TRUE(by_freq.is_pinned(v));
   }
+}
+
+// The warm-up counts each query's vertex set through one reused extractor.
+// With every sampled row pinned, the pin order (count desc, id asc) must be
+// the order of counts taken from one-shot egos of the same draws.
+TEST(FeatureCache, WarmupCountsTheOneShotEgoSets) {
+  Rng rng(8);
+  const Csr g = graph::power_law(2000, 16000, 1.9, rng);
+  const Tensor feat = Tensor::random(g.num_vertices(), 4, rng);
+  TrafficOptions t = small_traffic();
+  t.hops = 2;
+  t.max_ego_vertices = 96;
+  FeatureCacheOptions c = presample(1.0);
+  c.warmup_rounds = 2;
+  const FeatureCache cache(g, feat, t, c);
+
+  std::vector<std::int64_t> count(static_cast<std::size_t>(g.num_vertices()));
+  Rng perm(t.seed);
+  const QueryStream stream(g.num_vertices(), t.zipf_alpha, perm);
+  Rng warm(kWarmupSeed);
+  for (std::int64_t q = 0; q < c.warmup_rounds * kWarmupQueriesPerRound; ++q) {
+    const graph::LocalGraph ego =
+        ego_subgraph(g, stream.draw(warm), t.hops, t.max_ego_vertices);
+    for (const graph::VertexId u : ego.to_global) {
+      ++count[static_cast<std::size_t>(u)];
+    }
+  }
+  std::vector<graph::VertexId> want;
+  for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
+    if (count[static_cast<std::size_t>(v)] > 0) want.push_back(v);
+  }
+  std::ranges::stable_sort(want, std::greater<>(), [&count](graph::VertexId v) {
+    return count[static_cast<std::size_t>(v)];
+  });
+  EXPECT_EQ(cache.pinned_vertices(), want);
 }
 
 // Regression (ISSUE 10): `--cache-rounds 0` is a valid configuration — zero

@@ -7,7 +7,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <map>
+#include <span>
 #include <string>
 
 #include "common/check.hpp"
@@ -156,6 +158,21 @@ graph::LocalGraph reference_ego(const Csr& g, graph::VertexId query, int hops,
   return graph::induced_subgraph(g, keep);
 }
 
+/// Expects `got` to be `want`: the same vertex set, owned count and CSR.
+void expect_same_ego(const graph::LocalGraph& got,
+                     const graph::LocalGraph& want) {
+  EXPECT_EQ(got.to_global, want.to_global);
+  EXPECT_EQ(got.num_owned, want.num_owned);
+  EXPECT_TRUE(std::ranges::equal(got.csr.indptr(), want.csr.indptr()));
+  EXPECT_TRUE(std::ranges::equal(got.csr.indices(), want.csr.indices()));
+}
+
+/// The query's position in `ego`'s id-ordered vertex set.
+graph::VertexId local_id(const graph::LocalGraph& ego, graph::VertexId query) {
+  const auto it = std::ranges::find(ego.to_global, query);
+  return static_cast<graph::VertexId>(it - ego.to_global.begin());
+}
+
 TEST(Traffic, EgoSubgraphMatchesInducedSubgraph) {
   std::vector<Csr> graphs;
   for (const std::uint64_t seed : {1u, 2u, 3u}) {
@@ -172,6 +189,28 @@ TEST(Traffic, EgoSubgraphMatchesInducedSubgraph) {
     }
     graphs.push_back(graph::build_csr(60, std::move(edges), {.dedup = false}));
   }
+  {
+    // The same kind of multigraph with every row shuffled, as Csr's
+    // constructor (and read_binary_csr) accept it: the ego's rows must still
+    // come out sorted.
+    const Csr& multi = graphs.back();
+    std::vector<graph::EdgeOffset> indptr(multi.indptr().begin(),
+                                          multi.indptr().end());
+    std::vector<graph::VertexId> indices(multi.indices().begin(),
+                                         multi.indices().end());
+    Rng rng(5);
+    for (std::size_t v = 0; v + 1 < indptr.size(); ++v) {
+      const std::span<graph::VertexId> row =
+          std::span(indices).subspan(static_cast<std::size_t>(indptr[v]),
+                                     static_cast<std::size_t>(multi.degree(
+                                         static_cast<graph::VertexId>(v))));
+      for (std::size_t i = row.size(); i > 1; --i) {
+        std::swap(row[i - 1], row[rng.next_below(i)]);
+      }
+    }
+    graphs.emplace_back(std::move(indptr), std::move(indices));
+    ASSERT_FALSE(graphs.back().rows_sorted());
+  }
   for (const Csr& g : graphs) {
     graph::VertexId hub = 0;
     for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
@@ -180,25 +219,75 @@ TEST(Traffic, EgoSubgraphMatchesInducedSubgraph) {
     // Half the hub's row: its first hop stops partway through the row.
     const std::int64_t mid_row = g.degree(hub) / 2;
     ASSERT_GT(mid_row, 1);
+    struct Case {
+      graph::VertexId query;
+      int hops;
+      std::int64_t cap;
+      graph::LocalGraph want;
+    };
+    std::vector<Case> cases;
     for (const graph::VertexId q : {graph::VertexId{0}, hub,
                                     g.num_vertices() - 1}) {
       for (int hops = 0; hops <= 3; ++hops) {
         for (const std::int64_t cap :
              {std::int64_t{1}, std::int64_t{2}, mid_row, std::int64_t{37},
               std::int64_t{512}}) {
-          const graph::LocalGraph got = ego_subgraph(g, q, hops, cap);
-          const graph::LocalGraph want = reference_ego(g, q, hops, cap);
-          SCOPED_TRACE(testing::Message() << "query " << q << " hops " << hops
-                                          << " cap " << cap);
-          EXPECT_EQ(got.to_global, want.to_global);
-          EXPECT_EQ(got.num_owned, want.num_owned);
-          EXPECT_TRUE(std::ranges::equal(got.csr.indptr(), want.csr.indptr()));
-          EXPECT_TRUE(
-              std::ranges::equal(got.csr.indices(), want.csr.indices()));
+          cases.push_back({q, hops, cap, reference_ego(g, q, hops, cap)});
         }
       }
     }
+    // One extractor runs every case, largest ego first, so each query finds
+    // the table and the row scratch dirty from a larger one.
+    std::ranges::stable_sort(cases, std::greater<>(), [](const Case& c) {
+      return c.want.to_global.size();
+    });
+    EgoExtractor egos(g);
+    for (const Case& c : cases) {
+      SCOPED_TRACE(testing::Message() << "query " << c.query << " hops "
+                                      << c.hops << " cap " << c.cap);
+      expect_same_ego(ego_subgraph(g, c.query, c.hops, c.cap), c.want);
+      graph::VertexId query_local = -1;
+      expect_same_ego(egos.extract(c.query, c.hops, c.cap, &query_local),
+                      c.want);
+      EXPECT_EQ(query_local, local_id(c.want, c.query));
+      EXPECT_TRUE(std::ranges::equal(egos.vertices(c.query, c.hops, c.cap),
+                                     c.want.to_global));
+    }
   }
+}
+
+// Every request generate_traffic builds through its one reused extractor is
+// the reference ego of its query, field by field, on a graph whose hubs make
+// the cap bind and whose egos overlap.
+TEST(Traffic, GeneratedRequestsMatchReferenceEgos) {
+  Rng rng(8);
+  const Csr g = graph::power_law(2000, 16000, 1.9, rng);
+  const Tensor feat = Tensor::random(g.num_vertices(), 4, rng);
+  ASSERT_GT(g.max_degree(), 200);
+  TrafficOptions t = small_traffic(300);
+  t.hops = 2;
+  t.max_ego_vertices = 96;
+  const auto reqs = generate_traffic(g, feat, t);
+  ASSERT_EQ(reqs.size(), 300u);
+  std::size_t capped = 0;
+  for (const Request& r : reqs) {
+    SCOPED_TRACE(testing::Message() << "req " << r.id << " query " << r.query);
+    const graph::LocalGraph want =
+        reference_ego(g, r.query, t.hops, t.max_ego_vertices);
+    expect_same_ego(r.ego, want);
+    EXPECT_EQ(r.query_local, local_id(want, r.query));
+    const Tensor rows = gather_rows(feat, want.to_global);
+    ASSERT_EQ(r.feat.rows(), rows.rows());
+    ASSERT_EQ(r.feat.cols(), rows.cols());
+    EXPECT_EQ(std::memcmp(r.feat.flat().data(), rows.flat().data(),
+                          rows.flat().size_bytes()),
+              0);
+    capped += want.to_global.size() ==
+              static_cast<std::size_t>(t.max_ego_vertices);
+  }
+  // Both kinds of ego occur: capped ones around hubs and small ones.
+  EXPECT_GT(capped, 0u);
+  EXPECT_LT(capped, reqs.size());
 }
 
 // Regression (ISSUE 10): the seeded permutation must re-derive identically

@@ -19,6 +19,13 @@
 //             [--cache-rounds 3]
 //   output:   [--json PATH] [--verify] [--quiet]
 //
+// Three flag groups need an anchor flag, and a group flag without its
+// anchor is a usage error: --burst-len, --burst-speedup and --idle-gap-ms
+// shape the bursty process, so they need --arrival bursty; the storm flags
+// need --storm-at; --cache-ratio and --cache-rounds need --cache-policy.
+// --partitions is the fallback's first part count, at least 2: one
+// partition is the direct path the fallback replaces.
+//
 // The cache flags attach a pre-sampling feature cache (DESIGN.md §12):
 // --cache-policy picks how the pinned set is ranked, --cache-ratio the
 // fraction of vertices pinned, --cache-rounds the warm-up sampling rounds.
@@ -69,6 +76,17 @@ const std::vector<std::string>& known_flags() {
   return kFlags;
 }
 
+/// Rejects each of `flags` that is set without its group's anchor: a usage
+/// error naming the flag, so the run stops with exit 2 before any work.
+void require_anchor(const Args& args, std::initializer_list<const char*> flags,
+                    const char* anchor) {
+  for (const char* f : flags) {
+    if (args.has(f)) {
+      throw UsageError(std::string("flag --") + f + " requires " + anchor);
+    }
+  }
+}
+
 graph::Csr load_graph(const Args& args) {
   const std::string path = args.get("graph", "");
   if (!path.empty()) return graph::read_edge_list_file(path);
@@ -102,6 +120,10 @@ serve::TrafficOptions traffic_options(const Args& args) {
   }
   t.mean_interarrival_ms =
       args.get_double_checked("mean-gap-ms", 1.0, 1e-6, 1e9);
+  if (t.arrival != serve::ArrivalProcess::kBursty) {
+    require_anchor(args, {"burst-len", "burst-speedup", "idle-gap-ms"},
+                   "--arrival bursty");
+  }
   t.burst_len = args.get_int_checked("burst-len", 32, 1, 1'000'000);
   t.burst_speedup = args.get_double_checked("burst-speedup", 8.0, 1e-6, 1e9);
   t.gap_ms = args.get_double_checked("idle-gap-ms", 20.0, 0, 1e9);
@@ -127,7 +149,7 @@ serve::ServerOptions server_options(const Args& args) {
   s.fallback.max_attempts =
       static_cast<int>(args.get_int_checked("fallback-attempts", 2, 1, 64));
   s.fallback.initial_partitions =
-      static_cast<int>(args.get_int_checked("partitions", 2, 1, 1 << 20));
+      static_cast<int>(args.get_int_checked("partitions", 2, 2, 1 << 20));
   s.breaker.failure_threshold = static_cast<int>(
       args.get_int_checked("breaker-threshold", 4, 1, 1'000'000));
   s.breaker.cooldown_ms =
@@ -153,9 +175,11 @@ serve::ServerOptions server_options(const Args& args) {
         args.get_int_checked("storm-launch-every", 0, 0, kSeqMax);
     on.plan.launch_burst_len =
         args.get_int_checked("storm-launch-burst", 1, 1, kSeqMax);
-    TLP_CHECK_MSG(on.plan.any(),
-                  "--storm-at needs at least one of --storm-oom-every / "
-                  "--storm-launch-every");
+    if (!on.plan.any()) {
+      throw UsageError(
+          "flag --storm-at needs at least one of --storm-oom-every / "
+          "--storm-launch-every");
+    }
     s.storms.push_back(on);
     const std::int64_t stop =
         args.get_int_checked("storm-stop-at", -1, -1, kSeqMax);
@@ -166,11 +190,10 @@ serve::ServerOptions server_options(const Args& args) {
       s.storms.push_back({stop, sim::FaultPlan{}});
     }
   } else {
-    for (const char* f : {"storm-oom-every", "storm-launch-every",
-                          "storm-stop-at"}) {
-      TLP_CHECK_MSG(!args.has(f),
-                    "--" << f << " requires --storm-at to anchor the storm");
-    }
+    require_anchor(args,
+                   {"storm-oom-every", "storm-oom-burst", "storm-launch-every",
+                    "storm-launch-burst", "storm-stop-at"},
+                   "--storm-at to anchor the storm");
   }
   return s;
 }
@@ -180,10 +203,8 @@ serve::ServerOptions server_options(const Args& args) {
 /// server runs cacheless.
 std::optional<serve::FeatureCacheOptions> cache_options(const Args& args) {
   if (!args.has("cache-policy")) {
-    for (const char* f : {"cache-ratio", "cache-rounds"}) {
-      TLP_CHECK_MSG(!args.has(f),
-                    "--" << f << " requires --cache-policy to attach a cache");
-    }
+    require_anchor(args, {"cache-ratio", "cache-rounds"},
+                   "--cache-policy to attach a cache");
     return std::nullopt;
   }
   serve::FeatureCacheOptions c;
@@ -265,6 +286,12 @@ void print_usage(std::FILE* to) {
 }
 
 int run(const Args& args) {
+  // The traffic, server and cache flags are parsed before any work, so a
+  // usage error among them stops the run before it prints or writes anything.
+  const serve::TrafficOptions topts = traffic_options(args);
+  const serve::ServerOptions sopts = server_options(args);
+  const std::optional<serve::FeatureCacheOptions> copts = cache_options(args);
+
   const graph::Csr g = load_graph(args);
   const models::ModelKind kind = parse_model(args);
   const std::int64_t f = args.get_int_checked("feature", 32, 1, 1 << 16);
@@ -276,8 +303,6 @@ int run(const Args& args) {
   const tensor::Tensor feat = tensor::Tensor::random(g.num_vertices(), f, rng);
   const models::ConvSpec spec = models::ConvSpec::make(kind, f, rng, heads);
 
-  const serve::TrafficOptions topts = traffic_options(args);
-  const serve::ServerOptions sopts = server_options(args);
   const std::vector<serve::Request> traffic =
       serve::generate_traffic(g, feat, topts);
 
@@ -290,7 +315,6 @@ int run(const Args& args) {
                 sopts.storms.empty() ? "" : " | fault storm armed");
   }
 
-  const std::optional<serve::FeatureCacheOptions> copts = cache_options(args);
   std::optional<serve::FeatureCache> cache;
   if (copts) cache.emplace(g, feat, topts, *copts);
 
