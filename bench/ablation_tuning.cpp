@@ -30,10 +30,7 @@ double run_once(const graph::Csr& g, const tensor::Tensor& feat,
   return dev.gpu_time_ms();
 }
 
-int run(const Args& args, bench::Reporter& rep) {
-  const BenchConfig cfg =
-      BenchConfig::from_args(args, /*max_edges=*/200'000, /*feature=*/32);
-  rep.set_config(cfg);
+int run(const BenchConfig& cfg, bench::Reporter& rep) {
   bench::GraphCache graphs(cfg);
 
   // (a) warps per block, hardware-dynamic assignment.
@@ -95,5 +92,6 @@ int run(const Args& args, bench::Reporter& rep) {
 
 namespace tlp::bench {
 const BenchDef tuning_bench = {
-    "tuning", "design-choice tuning ablations (extension)", &run, ""};
+    "tuning", "design-choice tuning ablations (extension)", &run,
+    /*max_edges=*/200'000, /*feature=*/32};
 }  // namespace tlp::bench

@@ -1,14 +1,15 @@
 // Shared harness code for the table/figure/extension benches, all run by
 // tools/tlpbench (DESIGN.md §9).
 //
-// Each bench is a `BenchDef` whose entry point `int run(const Args&,
-// Reporter&)` receives tlpbench's own validated flags. Every bench reads the
-// shared set through BenchConfig::from_args:
-//   --max-edges N   replica edge cap (default varies per bench)
+// Each bench is a `BenchDef` whose entry point `int run(const BenchConfig&,
+// Reporter&)` receives the config tlpbench built from its flags before the
+// first bench ran:
+//   --max-edges N   replica edge cap (default per BenchDef)
 //   --full          paper-scale replicas (slow!)
-//   --feature F     feature size override
+//   --feature F     feature size override (default per BenchDef)
 //   --seed S        experiment seed
-// plus any flags its BenchDef lists (e.g. fig11's --min-vertices, shown by
+// plus the flags only some benches take: fig11's --min-vertices and the
+// serve benches' --requests, whose defaults their BenchDef carries (shown by
 // `tlpbench --list`). bench/suite.hpp registers every bench.
 //
 // A bench only measures: `run` adds records to its Reporter and prints
@@ -22,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "common/cli.hpp"
 #include "graph/datasets.hpp"
 #include "kernels/conv_common.hpp"
 #include "models/reference.hpp"
@@ -35,21 +35,7 @@ struct BenchConfig {
   graph::ReplicaOptions replica;
   std::int64_t feature_size = 32;
   std::uint64_t seed = 42;
-
-  static BenchConfig from_args(const Args& args,
-                               std::int64_t default_max_edges,
-                               std::int64_t default_feature) {
-    BenchConfig cfg;
-    cfg.replica.max_edges =
-        args.get_int_checked("max-edges", default_max_edges, 1);
-    cfg.replica.full = args.get_bool("full", false);
-    cfg.replica.seed =
-        static_cast<std::uint64_t>(args.get_int_checked("seed", 42, 0));
-    cfg.feature_size = args.get_int_checked("feature", default_feature, 1,
-                                            kernels::kMaxFeature);
-    cfg.seed = cfg.replica.seed;
-    return cfg;
-  }
+  std::int64_t requests = 0;  ///< traffic length (the serve benches)
 };
 
 /// Cache of replica graphs so multi-system benches build each one once.
@@ -112,20 +98,10 @@ inline systems::RunResult run_system(
 }
 
 /// Structured-result sink handed to every bench entry point: appends the
-/// bench's config and records to its `report::BenchResult`.
+/// bench's records to its `report::BenchResult`.
 class Reporter {
  public:
   explicit Reporter(report::BenchResult& out) : out_(out) {}
-
-  /// Records the effective bench config (shown in the JSON and the rendered
-  /// EXPERIMENTS.md provenance).
-  void set_config(const BenchConfig& cfg) {
-    out_.config = report::Json::object();
-    out_.config.set("max_edges", cfg.replica.max_edges);
-    out_.config.set("full", cfg.replica.full);
-    out_.config.set("feature", cfg.feature_size);
-    out_.config.set("seed", static_cast<std::int64_t>(cfg.seed));
-  }
 
   /// Starts a record for one measured configuration; chain `.value(...)`.
   report::Record& add(const std::string& section, const std::string& dataset,
@@ -171,8 +147,11 @@ class Reporter {
 struct BenchDef {
   const char* name;         ///< suite id, e.g. "table1" (`tlpbench --only`)
   const char* title;        ///< one-line description
-  int (*fn)(const Args& args, Reporter& rep);
-  const char* extra_flags;  ///< comma-separated flags beyond the shared set
+  int (*fn)(const BenchConfig& cfg, Reporter& rep);
+  std::int64_t max_edges;   ///< default --max-edges
+  std::int64_t feature;     ///< default --feature
+  std::int64_t min_vertices = 0;  ///< default --min-vertices; 0 = no flag
+  std::int64_t requests = 0;      ///< default --requests; 0 = no flag
 };
 
 inline std::vector<std::string> split_csv(const std::string& csv) {

@@ -29,10 +29,7 @@ double run_stage(const graph::Csr& g, const tensor::Tensor& feat,
   return sys.run(dev, g, feat, spec).measured_ms;
 }
 
-int run(const Args& args, bench::Reporter& rep) {
-  const BenchConfig cfg =
-      BenchConfig::from_args(args, /*max_edges=*/150'000, /*feature=*/32);
-  rep.set_config(cfg);
+int run(const BenchConfig& cfg, bench::Reporter& rep) {
   bench::GraphCache graphs(cfg);
   const std::vector<std::string> stage_names{"tlp", "+hybrid", "+cache",
                                              "+fusion"};
@@ -86,5 +83,6 @@ int run(const Args& args, bench::Reporter& rep) {
 
 namespace tlp::bench {
 const BenchDef fig10_bench = {
-    "fig10", "technique benefits over the edge-centric baseline", &run, ""};
+    "fig10", "technique benefits over the edge-centric baseline", &run,
+    /*max_edges=*/150'000, /*feature=*/32};
 }  // namespace tlp::bench

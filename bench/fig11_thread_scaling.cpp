@@ -15,14 +15,7 @@ using models::ModelKind;
 
 namespace {
 
-int run(const Args& args, bench::Reporter& rep) {
-  BenchConfig cfg =
-      BenchConfig::from_args(args, /*max_edges=*/300'000, /*feature=*/32);
-  // Strong scaling needs many independent vertices per warp: the replicas
-  // keep a large vertex population at the cost of density (see
-  // ReplicaOptions::min_vertices).
-  cfg.replica.min_vertices = args.get_int_checked("min-vertices", 50'000, 0);
-  rep.set_config(cfg);
+int run(const BenchConfig& cfg, bench::Reporter& rep) {
   bench::GraphCache graphs(cfg);
 
   for (const ModelKind kind :
@@ -59,6 +52,10 @@ int run(const Args& args, bench::Reporter& rep) {
 }  // namespace
 
 namespace tlp::bench {
+// Strong scaling needs many independent vertices per warp: the replicas
+// keep a large vertex population at the cost of density (see
+// ReplicaOptions::min_vertices).
 const BenchDef fig11_bench = {"fig11", "scalability vs thread count", &run,
-                              "min-vertices"};
+                              /*max_edges=*/300'000, /*feature=*/32,
+                              /*min_vertices=*/50'000};
 }  // namespace tlp::bench

@@ -12,10 +12,7 @@ using models::ModelKind;
 
 namespace {
 
-int run(const Args& args, bench::Reporter& rep) {
-  const BenchConfig cfg =
-      BenchConfig::from_args(args, /*max_edges=*/100'000, /*feature=*/16);
-  rep.set_config(cfg);
+int run(const BenchConfig& cfg, bench::Reporter& rep) {
   bench::GraphCache graphs(cfg);
 
   for (const ModelKind kind :
@@ -46,5 +43,5 @@ int run(const Args& args, bench::Reporter& rep) {
 
 namespace tlp::bench {
 const BenchDef fig12_bench = {"fig12", "scalability vs feature size", &run,
-                              ""};
+                              /*max_edges=*/100'000, /*feature=*/16};
 }  // namespace tlp::bench

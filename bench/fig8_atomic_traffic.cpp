@@ -12,10 +12,7 @@ using models::ModelKind;
 
 namespace {
 
-int run(const Args& args, bench::Reporter& rep) {
-  const BenchConfig cfg =
-      BenchConfig::from_args(args, /*max_edges=*/250'000, /*feature=*/32);
-  rep.set_config(cfg);
+int run(const BenchConfig& cfg, bench::Reporter& rep) {
   bench::GraphCache graphs(cfg);
 
   for (const auto& ds : graph::all_datasets()) {
@@ -42,5 +39,6 @@ int run(const Args& args, bench::Reporter& rep) {
 
 namespace tlp::bench {
 const BenchDef fig8_bench = {
-    "fig8", "GNNAdvisor atomic-write traffic vs TLPGNN", &run, ""};
+    "fig8", "GNNAdvisor atomic-write traffic vs TLPGNN", &run,
+    /*max_edges=*/250'000, /*feature=*/32};
 }  // namespace tlp::bench

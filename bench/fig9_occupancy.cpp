@@ -13,10 +13,7 @@ using models::ModelKind;
 
 namespace {
 
-int run(const Args& args, bench::Reporter& rep) {
-  const BenchConfig cfg =
-      BenchConfig::from_args(args, /*max_edges=*/250'000, /*feature=*/32);
-  rep.set_config(cfg);
+int run(const BenchConfig& cfg, bench::Reporter& rep) {
   bench::GraphCache graphs(cfg);
 
   std::vector<double> fg_all, tlp_all;
@@ -46,5 +43,6 @@ int run(const Args& args, bench::Reporter& rep) {
 
 namespace tlp::bench {
 const BenchDef fig9_bench = {
-    "fig9", "achieved occupancy, FeatGraph vs TLPGNN", &run, ""};
+    "fig9", "achieved occupancy, FeatGraph vs TLPGNN", &run,
+    /*max_edges=*/250'000, /*feature=*/32};
 }  // namespace tlp::bench

@@ -41,10 +41,7 @@ void add_slo(Reporter& rep, const std::string& variant,
       .value("breaker_opens", static_cast<double>(r.breaker_opens));
 }
 
-int run(const Args& args, Reporter& rep) {
-  const BenchConfig cfg = BenchConfig::from_args(args, 150'000, 16);
-  rep.set_config(cfg);
-
+int run(const BenchConfig& cfg, Reporter& rep) {
   GraphCache graphs(cfg);
   const graph::Csr& g = graphs.get("PD");
   const tensor::Tensor feat =
@@ -54,7 +51,7 @@ int run(const Args& args, Reporter& rep) {
       models::ConvSpec::make(models::ModelKind::kGcn, cfg.feature_size, rng);
 
   serve::TrafficOptions topts;
-  topts.num_requests = args.get_int_checked("requests", 120, 1, 100'000);
+  topts.num_requests = cfg.requests;
   topts.mean_interarrival_ms = 2.0;
   topts.hops = 1;
   topts.max_ego_vertices = 128;
@@ -107,6 +104,7 @@ int run(const Args& args, Reporter& rep) {
 
 const BenchDef serve_bench{"serve",
                            "Serving SLO under fault storm (resilient runtime)",
-                           run, "requests"};
+                           run, /*max_edges=*/150'000, /*feature=*/16,
+                           /*min_vertices=*/0, /*requests=*/120};
 
 }  // namespace tlp::bench

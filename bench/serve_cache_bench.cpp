@@ -35,10 +35,7 @@ struct SweepPoint {
   double ratio;
 };
 
-int run(const Args& args, Reporter& rep) {
-  const BenchConfig cfg = BenchConfig::from_args(args, 150'000, 16);
-  rep.set_config(cfg);
-
+int run(const BenchConfig& cfg, Reporter& rep) {
   GraphCache graphs(cfg);
   const graph::Csr& g = graphs.get("PD");
   const tensor::Tensor feat = make_features(g, cfg.feature_size, cfg.seed);
@@ -47,7 +44,7 @@ int run(const Args& args, Reporter& rep) {
       models::ConvSpec::make(models::ModelKind::kGcn, cfg.feature_size, rng);
 
   serve::TrafficOptions topts;
-  topts.num_requests = args.get_int_checked("requests", 120, 1, 100'000);
+  topts.num_requests = cfg.requests;
   topts.mean_interarrival_ms = 2.0;
   topts.hops = 1;
   topts.max_ego_vertices = 128;
@@ -130,6 +127,7 @@ int run(const Args& args, Reporter& rep) {
 
 const BenchDef serve_cache_bench{
     "serve_cache", "Feature-cache sweep (presample vs degree vs none)", run,
-    "requests"};
+    /*max_edges=*/150'000, /*feature=*/16, /*min_vertices=*/0,
+    /*requests=*/120};
 
 }  // namespace tlp::bench

@@ -11,10 +11,7 @@ using bench::BenchConfig;
 
 namespace {
 
-int run(const Args& args, bench::Reporter& rep) {
-  const BenchConfig cfg = BenchConfig::from_args(args, /*max_edges=*/400'000,
-                                                 /*feature=*/128);
-  rep.set_config(cfg);
+int run(const BenchConfig& cfg, bench::Reporter& rep) {
   const auto& spec = graph::dataset_by_abbr("OH");
   const graph::Csr g = graph::make_dataset(spec, cfg.replica);
   const tensor::Tensor feat =
@@ -32,5 +29,6 @@ int run(const Args& args, bench::Reporter& rep) {
 
 namespace tlp::bench {
 const BenchDef table1_bench = {
-    "table1", "impact of atomic operations (GCN, ovcar-8h replica)", &run, ""};
+    "table1", "impact of atomic operations (GCN, ovcar-8h replica)", &run,
+    /*max_edges=*/400'000, /*feature=*/128};
 }  // namespace tlp::bench

@@ -32,10 +32,7 @@ void measure(bench::Reporter& rep, const graph::Csr& g,
       .value("scoreboard_stall", m.scoreboard_stall);
 }
 
-int run(const Args& args, bench::Reporter& rep) {
-  const BenchConfig cfg =
-      BenchConfig::from_args(args, /*max_edges=*/300'000, /*feature=*/128);
-  rep.set_config(cfg);
+int run(const BenchConfig& cfg, bench::Reporter& rep) {
   const auto& spec = graph::dataset_by_abbr("PD");
   const graph::Csr g = graph::make_dataset(spec, cfg.replica);
   const tensor::Tensor feat =
@@ -53,5 +50,6 @@ int run(const Args& args, bench::Reporter& rep) {
 
 namespace tlp::bench {
 const BenchDef table2_bench = {
-    "table2", "coalesced memory access (GCN, pubmed replica)", &run, ""};
+    "table2", "coalesced memory access (GCN, pubmed replica)", &run,
+    /*max_edges=*/300'000, /*feature=*/128};
 }  // namespace tlp::bench

@@ -12,10 +12,7 @@ using bench::BenchConfig;
 
 namespace {
 
-int run(const Args& args, bench::Reporter& rep) {
-  const BenchConfig cfg =
-      BenchConfig::from_args(args, /*max_edges=*/1'000'000, /*feature=*/32);
-  rep.set_config(cfg);
+int run(const BenchConfig& cfg, bench::Reporter& rep) {
   const auto& ds = graph::dataset_by_abbr("RD");
   const graph::Csr g = graph::make_dataset(ds, cfg.replica);
   const sim::GpuSpec gpu = bench::gpu_for(ds, cfg);
@@ -46,5 +43,5 @@ int run(const Args& args, bench::Reporter& rep) {
 namespace tlp::bench {
 const BenchDef table3_bench = {
     "table3", "kernel launches for GAT convolution (reddit replica)", &run,
-    ""};
+    /*max_edges=*/1'000'000, /*feature=*/32};
 }  // namespace tlp::bench

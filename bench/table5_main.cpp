@@ -16,10 +16,7 @@ using models::ModelKind;
 
 namespace {
 
-int run(const Args& args, bench::Reporter& rep) {
-  const BenchConfig cfg =
-      BenchConfig::from_args(args, /*max_edges=*/250'000, /*feature=*/32);
-  rep.set_config(cfg);
+int run(const BenchConfig& cfg, bench::Reporter& rep) {
   bench::GraphCache graphs(cfg);
 
   const std::vector<std::string> baselines{"dgl", "gnnadvisor", "featgraph"};
@@ -70,5 +67,5 @@ int run(const Args& args, bench::Reporter& rep) {
 namespace tlp::bench {
 const BenchDef table5_bench = {
     "table5", "execution times across systems, models and datasets", &run,
-    ""};
+    /*max_edges=*/250'000, /*feature=*/32};
 }  // namespace tlp::bench

@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <limits>
 
-#include "common/check.hpp"
 #include "common/cli.hpp"
 #include "common/format.hpp"
 #include "core/engine.hpp"
@@ -16,19 +15,16 @@
 #include "kernels/conv_common.hpp"
 #include "models/reference.hpp"
 
-int main(int argc, char** argv) try {
+namespace {
+
+int quickstart(const tlp::Args& args) {
   using namespace tlp;
-  const Args args(argc, argv);
-  if (const auto unknown =
-          args.first_unknown({"vertices", "edges", "feature"})) {
-    std::fprintf(stderr, "error: unknown flag --%s\n", unknown->c_str());
-    return 2;
-  }
   const auto n = static_cast<graph::VertexId>(args.get_int_checked(
       "vertices", 10'000, 2, std::numeric_limits<graph::VertexId>::max()));
   const auto m = args.get_int_checked("edges", 80'000, 0);
   const std::int64_t f =
       args.get_int_checked("feature", 32, 1, kernels::kMaxFeature);
+  args.reject_unread();
 
   // 1. Build a graph. Real applications would load their own edge list and
   //    call graph::build_csr; here we synthesize a power-law graph.
@@ -66,7 +62,10 @@ int main(int argc, char** argv) try {
   const bool matches = tensor::allclose(result.output, ref, 1e-3, 1e-4);
   std::printf("matches CPU reference: %s\n", matches ? "yes" : "NO");
   return matches ? 0 : 1;
-} catch (const tlp::CheckError& e) {
-  std::fprintf(stderr, "error: %s\n", e.what());
-  return 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tlp::run_main(argc, argv, &quickstart);
 }

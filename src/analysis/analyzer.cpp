@@ -26,10 +26,6 @@ std::vector<LintDataset> default_lint_datasets() {
   return ds;
 }
 
-std::vector<std::string> lint_system_names() {
-  return {"tlpgnn", "dgl", "gnnadvisor", "featgraph", "push", "edge", "pull"};
-}
-
 sim::GpuSpec lint_gpu_spec() { return sim::GpuSpec::v100_scaled(16); }
 
 LintReport lint_systems(const std::vector<std::string>& systems,

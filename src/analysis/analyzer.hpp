@@ -26,9 +26,6 @@ struct LintDataset {
 /// exercise divergence). Both deterministic.
 std::vector<LintDataset> default_lint_datasets();
 
-/// Every registered system name, lint order (paper's baselines + TLPGNN).
-std::vector<std::string> lint_system_names();
-
 /// The GPU replica the lint drivers simulate on: the 1/16 scaled V100 of the
 /// bench methodology (EXPERIMENTS.md). Scaling matters to the analysis, not
 /// just the runtime: the full V100's 6 MB L2 swallows every lint-sized

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cstdio>
 #include <cstdlib>
 
 #include "common/check.hpp"
@@ -27,26 +28,25 @@ Args::Args(int argc, const char* const* argv) {
   }
 }
 
-bool Args::has(const std::string& name) const { return named_.count(name) > 0; }
-
-std::optional<std::string> Args::first_unknown(
-    const std::vector<std::string>& known) const {
-  for (const auto& [key, value] : named_) {  // std::map: sorted by name
-    if (std::find(known.begin(), known.end(), key) == known.end()) return key;
-  }
-  return std::nullopt;
+const std::string* Args::find(const std::string& name) const {
+  const auto it = named_.find(name);
+  if (it == named_.end()) return nullptr;
+  read_.insert(name);
+  return &it->second;
 }
 
+bool Args::has(const std::string& name) const { return find(name) != nullptr; }
+
 std::string Args::get(const std::string& name, const std::string& def) const {
-  const auto it = named_.find(name);
-  return it == named_.end() ? def : it->second;
+  const std::string* value = find(name);
+  return value == nullptr ? def : *value;
 }
 
 std::int64_t Args::get_int_checked(const std::string& name, std::int64_t def,
                                    std::int64_t lo, std::int64_t hi) const {
-  const auto it = named_.find(name);
-  if (it == named_.end()) return def;
-  const std::string& text = it->second;
+  const std::string* found = find(name);
+  if (found == nullptr) return def;
+  const std::string& text = *found;
   std::int64_t value = 0;
   const char* begin = text.data();
   const char* end = begin + text.size();
@@ -65,9 +65,9 @@ std::int64_t Args::get_int_checked(const std::string& name, std::int64_t def,
 
 double Args::get_double_checked(const std::string& name, double def,
                                 double lo, double hi) const {
-  const auto it = named_.find(name);
-  if (it == named_.end()) return def;
-  const std::string& text = it->second;
+  const std::string* found = find(name);
+  if (found == nullptr) return def;
+  const std::string& text = *found;
   // strtod with a full-consumption check: std::from_chars<double> is not
   // implemented by every libstdc++ this repo builds against.
   TLP_CHECK_MSG(!text.empty(), "flag --" << name << ": empty value");
@@ -83,34 +83,62 @@ double Args::get_double_checked(const std::string& name, double def,
   return value;
 }
 
-std::string Args::get_choice(
-    const std::string& name, const std::string& def,
-    std::initializer_list<std::string_view> valid) const {
-  const auto it = named_.find(name);
-  const std::string value = it == named_.end() ? def : it->second;
-  for (const std::string_view v : valid) {
-    if (value == v) return value;
+std::string Args::get_choice(const std::string& name, const std::string& def,
+                             const std::vector<std::string>& valid) const {
+  std::string value = get(name, def);
+  check_choice(name, value, valid);
+  return value;
+}
+
+bool Args::get_bool(const std::string& name, bool def) const {
+  const std::string* found = find(name);
+  if (found == nullptr) return def;
+  const std::string& v = *found;
+  if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
+  if (v == "false" || v == "0" || v == "no" || v == "off") return false;
+  throw UsageError("flag --" + name + ": expected a boolean (true/false, "
+                   "1/0, yes/no, on/off), got \"" + v + "\"");
+}
+
+std::string Args::positional(std::size_t i, const std::string& def) const {
+  if (i >= positional_.size()) return def;
+  positionals_read_ = std::max(positionals_read_, i + 1);
+  return positional_[i];
+}
+
+void Args::reject_unread() const {
+  for (const auto& [name, value] : named_) {  // std::map: sorted by name
+    if (read_.count(name) == 0) throw UsageError("unknown flag --" + name);
   }
+  if (positionals_read_ < positional_.size()) {
+    throw UsageError("unexpected argument \"" +
+                     positional_[positionals_read_] + "\"");
+  }
+}
+
+void check_choice(const std::string& name, const std::string& value,
+                  const std::vector<std::string>& valid) {
+  if (std::find(valid.begin(), valid.end(), value) != valid.end()) return;
   std::string msg = "flag --" + name + ": unknown value \"" + value + "\"";
   msg += " (valid: ";
-  bool first = true;
-  for (const std::string_view v : valid) {
-    if (!first) msg += ", ";
-    first = false;
-    msg.append(v);
+  for (std::size_t i = 0; i < valid.size(); ++i) {
+    if (i > 0) msg += ", ";
+    msg += valid[i];
   }
   msg += ")";
   throw UsageError(msg);
 }
 
-bool Args::get_bool(const std::string& name, bool def) const {
-  const auto it = named_.find(name);
-  if (it == named_.end()) return def;
-  const std::string& v = it->second;
-  if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
-  if (v == "false" || v == "0" || v == "no" || v == "off") return false;
-  throw UsageError("flag --" + name + ": expected a boolean (true/false, "
-                   "1/0, yes/no, on/off), got \"" + v + "\"");
+int run_main(int argc, const char* const* argv, int (*body)(const Args&)) {
+  try {
+    return body(Args(argc, argv));
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  } catch (const CheckError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
 }
 
 }  // namespace tlp

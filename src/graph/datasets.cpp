@@ -32,6 +32,12 @@ constexpr std::array<DatasetSpec, 11> kDatasets{{
 
 std::span<const DatasetSpec> all_datasets() { return kDatasets; }
 
+std::vector<std::string> dataset_abbrs() {
+  std::vector<std::string> abbrs;
+  for (const auto& d : kDatasets) abbrs.emplace_back(d.abbr);
+  return abbrs;
+}
+
 const DatasetSpec& dataset_by_abbr(const std::string& abbr) {
   for (const auto& d : kDatasets) {
     if (abbr == d.abbr) return d;

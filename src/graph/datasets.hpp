@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "graph/csr.hpp"
 
@@ -32,6 +33,9 @@ struct DatasetSpec {
 
 /// All 11 datasets in Table 4 order (sorted by edge count).
 std::span<const DatasetSpec> all_datasets();
+
+/// The abbreviations of all_datasets(), in order.
+std::vector<std::string> dataset_abbrs();
 
 /// Lookup by abbreviation ("CS", "RD", ...). Throws CheckError if unknown.
 const DatasetSpec& dataset_by_abbr(const std::string& abbr);

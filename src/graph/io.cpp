@@ -4,6 +4,7 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <string_view>
 
 #include "common/check.hpp"
 #include "graph/builder.hpp"
@@ -200,6 +201,17 @@ Csr read_binary_csr(std::istream& in) {
 Csr read_binary_csr_file(const std::string& path) {
   auto in = open_in(path);
   return read_binary_csr(in);
+}
+
+Csr read_graph_file(const std::string& path) {
+  const auto ends_with = [&](const char* ext) {
+    const std::string_view e(ext);
+    return path.size() > e.size() &&
+           std::string_view(path).substr(path.size() - e.size()) == e;
+  };
+  if (ends_with(".mtx")) return read_matrix_market_file(path);
+  if (ends_with(".bin")) return read_binary_csr_file(path);
+  return read_edge_list_file(path);
 }
 
 }  // namespace tlp::graph

@@ -33,4 +33,8 @@ void write_binary_csr_file(const std::string& path, const Csr& g);
 Csr read_binary_csr(std::istream& in);
 Csr read_binary_csr_file(const std::string& path);
 
+/// Reads `path` by its extension: `.mtx` as MatrixMarket, `.bin` as binary
+/// CSR, anything else as an edge list.
+Csr read_graph_file(const std::string& path);
+
 }  // namespace tlp::graph

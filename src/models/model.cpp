@@ -20,6 +20,20 @@ const char* model_name(ModelKind kind) {
   return "?";
 }
 
+std::vector<std::string> model_names() {
+  std::vector<std::string> names;
+  for (const ModelKind k : kAllModels) names.emplace_back(model_name(k));
+  return names;
+}
+
+ModelKind model_from_name(const std::string& name) {
+  for (const ModelKind k : kAllModels) {
+    if (name == model_name(k)) return k;
+  }
+  TLP_CHECK_MSG(false, "unknown model '" << name << "'");
+  __builtin_unreachable();
+}
+
 ConvSpec ConvSpec::make(ModelKind kind, std::int64_t feature_size, Rng& rng,
                         int heads) {
   ConvSpec spec;

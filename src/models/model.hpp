@@ -33,6 +33,12 @@ inline constexpr ModelKind kAllModels[] = {ModelKind::kGcn, ModelKind::kGin,
 
 const char* model_name(ModelKind kind);
 
+/// The names of kAllModels, in order ("GCN", "GIN", "Sage", "GAT").
+std::vector<std::string> model_names();
+
+/// The kind `model_name` calls `name`. Throws CheckError if there is none.
+ModelKind model_from_name(const std::string& name);
+
 /// Learned attention parameters for GAT.
 struct GatParams {
   /// Attention vectors, length F total: head k owns the contiguous slice

@@ -36,6 +36,10 @@ std::unique_ptr<GnnSystem> make_system(const std::string& name) {
   __builtin_unreachable();
 }
 
+std::vector<std::string> system_names() {
+  return {"tlpgnn", "dgl", "gnnadvisor", "featgraph", "push", "edge", "pull"};
+}
+
 std::vector<std::string> table5_system_names() {
   return {"dgl", "gnnadvisor", "featgraph", "tlpgnn"};
 }

@@ -383,3 +383,153 @@ expect_tlpserve_rejected(2 cache-ratio --cache-ratio 0.2)
 expect_tlpserve_rejected(2 burst-len --burst-len 3)
 expect_tlpserve_rejected(2 burst-speedup --arrival poisson --burst-speedup 2)
 expect_tlpserve_rejected(2 idle-gap-ms --idle-gap-ms 5)
+
+# Cases 22-36: a tool accepts a flag only if the run reads it. A flag the
+# run would not read, an argument it would not consume, and an enum value
+# outside its set are usage errors before any work: exit 2, `what` on
+# stderr, no work output (graph summary, SLO table, bench header, lint or
+# fuzz banner) and no file written.
+set(rejected_file "${CMAKE_CURRENT_BINARY_DIR}/cli_enums_rejected.out")
+function(expect_rejected what tool)
+  file(REMOVE_RECURSE "${rejected_file}")
+  execute_process(
+    COMMAND "${tool}" ${ARGN}
+    RESULT_VARIABLE rc
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+  get_filename_component(name "${tool}" NAME)
+  list(JOIN ARGN " " args)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "${name} ${args}: expected exit 2, got ${rc}")
+  endif()
+  string(FIND "${err}" "${what}" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR
+            "${name} ${args}: diagnostic must contain '${what}', got: ${err}")
+  endif()
+  if(out MATCHES "[|]V[|]=|SLO metric|>>> |wrote |tlpfuzz:" OR
+     err MATCHES "analyzing")
+    message(FATAL_ERROR "rejected ${name} ${args} did work: ${out}${err}")
+  endif()
+  if(EXISTS "${rejected_file}")
+    message(FATAL_ERROR "rejected ${name} ${args} wrote ${rejected_file}")
+  endif()
+endfunction()
+set(graph_el "${CMAKE_CURRENT_BINARY_DIR}/cli_enums_graph.el")
+execute_process(
+  COMMAND "${TLPGNN_CLI}" gen --vertices 100 --edges 400 --out "${graph_el}"
+  RESULT_VARIABLE rc_graph
+  OUTPUT_QUIET)
+if(NOT rc_graph EQUAL 0)
+  message(FATAL_ERROR "tlpgnn_cli gen ${graph_el}: exit ${rc_graph}")
+endif()
+# Case 22: tlpgnn_cli info reads only the graph-source flags.
+expect_rejected("unknown flag --alpha" "${TLPGNN_CLI}"
+  info --dataset CS --system dgl --oom-at 1 --alpha 0.5)
+# Case 23: gen reads --vertices/--edges/--alpha only without --dataset, and
+# never --graph.
+expect_rejected("unknown flag --vertices" "${TLPGNN_CLI}"
+  gen --dataset CS --vertices 9 --max-edges 5000 --out "${rejected_file}")
+expect_rejected("unknown flag --graph" "${TLPGNN_CLI}"
+  gen --graph "${graph_el}" --vertices 100 --edges 300
+  --out "${rejected_file}")
+# Case 24: run takes none of gen's flags.
+expect_rejected("unknown flag --out" "${TLPGNN_CLI}"
+  run --max-edges 2000 --out "${rejected_file}" --vertices 9)
+# Case 25: with --graph, the replica flags are not read.
+expect_rejected("unknown flag --dataset" "${TLPGNN_CLI}"
+  run --graph "${graph_el}" --dataset RD --max-edges 7)
+expect_rejected("unknown flag --dataset" "${TLPSERVE}"
+  --graph "${graph_el}" --dataset RD --max-edges 9 --requests 4
+  --json "${rejected_file}")
+# Case 26: only GAT has heads.
+expect_rejected("unknown flag --heads" "${TLPGNN_CLI}"
+  run --max-edges 2000 --model GCN --heads 8)
+expect_rejected("unknown flag --heads" "${TLPSERVE}"
+  --max-edges 2000 --requests 4 --model GCN --heads 4
+  --json "${rejected_file}")
+# Case 27: the bit-flip shape needs --flip-at.
+expect_rejected("unknown flag --flip-alloc" "${TLPGNN_CLI}"
+  run --max-edges 2000 --flip-bits 5 --flip-alloc 2)
+# Case 28: degree reads no --cache-rounds, none neither cache setting.
+expect_rejected("unknown flag --cache-rounds" "${TLPSERVE}"
+  --max-edges 5000 --requests 64 --cache-policy degree --cache-rounds 7
+  --json "${rejected_file}")
+expect_rejected("unknown flag --cache-ratio" "${TLPSERVE}"
+  --max-edges 5000 --requests 64 --cache-policy none --cache-ratio 0.5
+  --cache-rounds 9 --json "${rejected_file}")
+# Case 29: a bench's own flag is read only when that bench is selected, and
+# --from only when rendering.
+expect_rejected("unknown flag --min-vertices" "${TLPBENCH}"
+  --only table2 --max-edges 5000 --requests 7 --min-vertices 3 --no-assert
+  --out "${rejected_file}")
+expect_rejected("unknown flag --from" "${TLPBENCH}"
+  --only table2 --max-edges 5000 --from "${BASELINE}" --no-assert
+  --out "${rejected_file}")
+# Case 30: rendering reads no run flags.
+expect_rejected("unknown flag --no-assert" "${TLPBENCH}"
+  --render-md "${rejected_file}" --only table1 --seed 9
+  --out "${rejected_file}" --no-assert)
+# Case 31: a replay reads no campaign flags.
+expect_rejected("unknown flag --iters" "${TLPFUZZ}"
+  --repro "${CMAKE_CURRENT_LIST_DIR}/../repros/case_4445_ring_shrink.el"
+  --iters 5 --time-budget 3 --repro-dir "${rejected_file}")
+# Case 32: the baseline gate reads no --fail-on.
+expect_rejected("unknown flag --fail-on" "${TLPLINT}"
+  --systems tlpgnn
+  --baseline "${CMAKE_CURRENT_LIST_DIR}/../tools/tlplint_baseline.json"
+  --fail-on note --json "${rejected_file}")
+# Case 33: a positional argument nothing consumes is named.
+expect_rejected("argument \"stray\"" "${TLPSERVE}"
+  stray --max-edges 2000 --requests 4 --json "${rejected_file}")
+expect_rejected("argument \"stray\"" "${TLPGNN_CLI}"
+  info stray --max-edges 2000)
+expect_rejected("argument \"extra\"" "${TLPGNN_CLI}"
+  gen extra --vertices 100 --edges 400 --out "${rejected_file}")
+expect_rejected("argument \"stray\"" "${TLPFUZZ}"
+  stray --iters 0 --json "${rejected_file}")
+# Case 34: model, dataset, arrival, system and severity names are checked
+# against their sets before any work.
+expect_rejected("flag --model" "${TLPGNN_CLI}" run --max-edges 2000
+  --model GXN)
+expect_rejected("flag --model" "${TLPSERVE}" --max-edges 2000 --requests 4
+  --model GXN --json "${rejected_file}")
+expect_rejected("flag --arrival" "${TLPSERVE}" --max-edges 2000
+  --requests 4 --arrival foo --json "${rejected_file}")
+expect_rejected("flag --dataset" "${TLPGNN_CLI}" info --dataset ZZ)
+expect_rejected("flag --dataset" "${TLPSERVE}" --dataset ZZ --requests 4
+  --json "${rejected_file}")
+expect_rejected("flag --system" "${TLPGNN_CLI}" run --max-edges 2000
+  --system dgx)
+expect_rejected("flag --systems" "${TLPLINT}" --systems foo
+  --json "${rejected_file}")
+expect_rejected("flag --fail-on" "${TLPLINT}" --fail-on bad
+  --json "${rejected_file}")
+# Case 35: `--update-baseline no` is false: the run neither rewrites nor
+# reads the baseline, so a --baseline beside --no-assert is unread.
+set(baseline_copy "${CMAKE_CURRENT_BINARY_DIR}/cli_enums_baseline.json")
+configure_file("${BASELINE}" "${baseline_copy}" COPYONLY)
+expect_rejected("unknown flag --baseline" "${TLPBENCH}"
+  --only table2 --max-edges 5000 --update-baseline no --no-assert
+  --baseline "${baseline_copy}" --out "${rejected_file}")
+execute_process(
+  COMMAND "${CMAKE_COMMAND}" -E compare_files "${BASELINE}" "${baseline_copy}"
+  RESULT_VARIABLE rc35)
+if(NOT rc35 EQUAL 0)
+  message(FATAL_ERROR "tlpbench --update-baseline no rewrote the baseline")
+endif()
+file(REMOVE "${baseline_copy}")
+# Case 36: tlpserve reads every graph format tlpgnn_cli writes.
+set(graph_bin "${CMAKE_CURRENT_BINARY_DIR}/cli_enums_graph.bin")
+execute_process(
+  COMMAND "${TLPGNN_CLI}" gen --vertices 100 --edges 400 --format bin
+          --out "${graph_bin}"
+  OUTPUT_QUIET)
+execute_process(
+  COMMAND "${TLPSERVE}" --graph "${graph_bin}" --requests 4 --quiet
+  RESULT_VARIABLE rc36
+  ERROR_VARIABLE err36)
+if(NOT rc36 EQUAL 0)
+  message(FATAL_ERROR "tlpserve --graph ${graph_bin}: exit ${rc36} (${err36})")
+endif()
+file(REMOVE "${graph_el}" "${graph_bin}")

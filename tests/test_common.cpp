@@ -168,24 +168,64 @@ TEST(Table, RejectsWrongArity) {
   EXPECT_THROW(t.add_row({"only-one"}), CheckError);
 }
 
+/// The message of the UsageError reject_unread() throws, or "" if none.
+std::string unread_error(const Args& args) {
+  try {
+    args.reject_unread();
+  } catch (const UsageError& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(Cli, ParsesNamedAndPositional) {
   // Note: a bare boolean flag must not be directly followed by a positional
   // argument (the parser would read it as the flag's value).
   const char* argv[] = {"prog", "pos1", "--alpha", "2.5", "--name=x",
                         "--flag"};
   Args args(6, argv);
+  // Nothing read yet: the first passed flag in sorted order is reported.
+  EXPECT_EQ(unread_error(args), "unknown flag --alpha");
   EXPECT_DOUBLE_EQ(args.get_double_checked("alpha", 0), 2.5);
-  EXPECT_TRUE(args.get_bool("flag", false));
   EXPECT_EQ(args.get("name", ""), "x");
+  // Names read but not passed are fine.
   EXPECT_EQ(args.get_int_checked("missing", 7), 7);
-  ASSERT_EQ(args.positional().size(), 1u);
-  EXPECT_EQ(args.positional()[0], "pos1");
-  // Every passed flag is known (extra known names are fine).
-  EXPECT_EQ(args.first_unknown({"alpha", "flag", "name", "unused"}),
-            std::nullopt);
-  // One unknown flag is named; positionals never count as flags.
-  EXPECT_EQ(args.first_unknown({"alpha", "name"}), "flag");
-  EXPECT_EQ(args.first_unknown({}), "alpha");  // first in sorted order
+  // One unread flag is named; positionals never count as flags.
+  EXPECT_EQ(unread_error(args), "unknown flag --flag");
+  EXPECT_TRUE(args.get_bool("flag", false));
+  // Every flag is read: the unconsumed positional is named.
+  EXPECT_EQ(unread_error(args), "unexpected argument \"pos1\"");
+  EXPECT_EQ(args.positional(0, "run"), "pos1");
+  EXPECT_EQ(args.positional(1, "none"), "none");
+  EXPECT_EQ(unread_error(args), "");
+}
+
+TEST(Cli, HasAloneCountsAsARead) {
+  const char* argv[] = {"prog", "--only", "table1", "--list"};
+  Args args(4, argv);
+  EXPECT_TRUE(args.has("only"));
+  EXPECT_FALSE(args.has("absent"));
+  EXPECT_EQ(unread_error(args), "unknown flag --list");
+  EXPECT_TRUE(args.has("list"));
+  EXPECT_EQ(unread_error(args), "");
+}
+
+TEST(Cli, GetChoiceTakesAListBuiltAtRunTime) {
+  const char* argv[] = {"prog", "--model", "GXN", "--system=dgl"};
+  Args args(4, argv);
+  const std::vector<std::string> systems{"tlpgnn", "dgl"};
+  EXPECT_EQ(args.get_choice("system", "tlpgnn", systems), "dgl");
+  EXPECT_EQ(args.get_choice("absent", "tlpgnn", systems), "tlpgnn");
+  try {
+    (void)args.get_choice("model", "GCN", {"GCN", "GAT"});
+    FAIL() << "expected UsageError";
+  } catch (const UsageError& e) {
+    EXPECT_EQ(std::string(e.what()),
+              "flag --model: unknown value \"GXN\" (valid: GCN, GAT)");
+  }
+  // A rejected value was still read: the error names the value, not the
+  // flag as unknown.
+  EXPECT_EQ(unread_error(args), "");
 }
 
 TEST(Cli, GetBoolAcceptsTheEightSpellingsAndRejectsAnyOther) {

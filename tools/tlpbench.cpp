@@ -21,9 +21,15 @@
 //   tlpbench --check-md EXPERIMENTS.md    # doc-drift gate: exit 1 unless the
 //                                         # committed file is byte-identical
 //
+// Each mode reads only its own flags: the render, check and list modes read
+// no run flags, a run reads --min-vertices and --requests only when a bench
+// that takes them is selected, and --baseline only when it checks or
+// updates one. Every flag is read, and every selected bench's config built,
+// before the first bench runs.
+//
 // Exit codes: 0 ok, 1 shape-assertion failure / drift / IO error / bad
-// numeric flag value, 2 usage (unknown flag, positional argument, or a
-// boolean flag given a non-boolean value).
+// numeric flag value, 2 usage (a flag the mode does not read, a positional
+// argument, or a boolean flag given a non-boolean value).
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -37,7 +43,7 @@
 #include <vector>
 
 #include "suite.hpp"
-#include "common/check.hpp"
+#include "common/cli.hpp"
 #include "report/render_md.hpp"
 #include "report/shapes.hpp"
 
@@ -45,14 +51,10 @@ namespace {
 
 using namespace tlp;
 
-const std::vector<std::string> kFlags{
-    "only", "list", "seed",     "max-edges",       "full",
-    "feature", "out",  "baseline", "no-assert",       "update-baseline",
-    "render-md", "from", "check-md", "help"};
+constexpr const char* kBaselinePath = "bench/baseline.json";
 
-void usage(std::FILE* to) {
-  std::fprintf(
-      to,
+void usage() {
+  std::printf(
       "tlpbench — run the bench suite, merge machine-readable results, check\n"
       "shape assertions, and (re)generate EXPERIMENTS.md.\n\n"
       "run mode:      tlpbench [--only a,b] [--seed S] [--max-edges N]\n"
@@ -61,7 +63,7 @@ void usage(std::FILE* to) {
       "render mode:   tlpbench --render-md [PATH] [--from REPORT.json]\n"
       "doc gate:      tlpbench --check-md EXPERIMENTS.md\n"
       "introspection: tlpbench --list\n"
-      "bench flags:   a bench's own flags (--list shows them) go to it\n");
+      "bench flags:   a selected bench's own flags (--list shows them)\n");
 }
 
 std::string read_file(const std::string& path) {
@@ -139,41 +141,76 @@ std::string default_out_name() {
   return buf;
 }
 
-int run_mode(const Args& args) {
-  // Read before any bench runs, so a malformed value writes no report.
-  const bool no_assert = args.get_bool("no-assert", false);
-  // Select benches.
+/// The benches --only names (all of them without it), in the order given.
+std::vector<const bench::BenchDef*> select_benches(const Args& args) {
+  if (!args.has("only")) return bench::all_benches();
   std::vector<const bench::BenchDef*> selected;
-  if (args.has("only")) {
-    for (const std::string& want : bench::split_csv(args.get("only", ""))) {
-      const bench::BenchDef* found = nullptr;
-      for (const bench::BenchDef* def : bench::all_benches()) {
-        if (want == def->name) found = def;
-      }
-      if (found == nullptr) {
-        std::fprintf(stderr, "error: unknown bench \"%s\" (see --list)\n",
-                     want.c_str());
-        return 2;
-      }
-      selected.push_back(found);
+  for (const std::string& want : bench::split_csv(args.get("only", ""))) {
+    const bench::BenchDef* found = nullptr;
+    for (const bench::BenchDef* def : bench::all_benches()) {
+      if (want == def->name) found = def;
     }
-  } else {
-    selected = bench::all_benches();
+    if (found == nullptr) {
+      throw UsageError("unknown bench \"" + want + "\" (see --list)");
+    }
+    selected.push_back(found);
   }
   if (selected.empty()) {
     // Mirror the shape evaluator's zero-match-is-failure rule: an empty
     // selection must fail loudly, not write an empty report that would pass
     // every (vacuously absent) assertion.
-    std::fprintf(stderr,
-                 "error: --only \"%s\" matched no benchmarks; nothing to run "
-                 "(see --list)\n",
-                 args.get("only", "").c_str());
-    return 2;
+    throw UsageError("--only \"" + args.get("only", "") +
+                     "\" matched no benchmarks; nothing to run (see --list)");
   }
+  return selected;
+}
 
+/// One bench's config: the shared flags at the bench's defaults, plus the
+/// flags only that bench takes.
+bench::BenchConfig read_config(const Args& args, const bench::BenchDef& def) {
+  bench::BenchConfig cfg;
+  cfg.replica.max_edges = args.get_int_checked("max-edges", def.max_edges, 1);
+  cfg.replica.full = args.get_bool("full", false);
+  cfg.replica.seed =
+      static_cast<std::uint64_t>(args.get_int_checked("seed", 42, 0));
+  if (def.min_vertices > 0) {
+    cfg.replica.min_vertices =
+        args.get_int_checked("min-vertices", def.min_vertices, 0);
+  }
+  cfg.feature_size = args.get_int_checked("feature", def.feature, 1,
+                                          kernels::kMaxFeature);
+  cfg.seed = cfg.replica.seed;
+  if (def.requests > 0) {
+    cfg.requests = args.get_int_checked("requests", def.requests, 1, 100'000);
+  }
+  return cfg;
+}
+
+/// The effective config as recorded in the JSON and the rendered
+/// EXPERIMENTS.md provenance.
+report::Json config_json(const bench::BenchConfig& cfg) {
+  report::Json config = report::Json::object();
+  config.set("max_edges", cfg.replica.max_edges);
+  config.set("full", cfg.replica.full);
+  config.set("feature", cfg.feature_size);
+  config.set("seed", static_cast<std::int64_t>(cfg.seed));
+  return config;
+}
+
+int run_mode(const Args& args) {
+  const std::vector<const bench::BenchDef*> selected = select_benches(args);
+  std::vector<bench::BenchConfig> configs;
+  for (const bench::BenchDef* def : selected) {
+    configs.push_back(read_config(args, *def));
+  }
   report::Report merged;
-  merged.seed = static_cast<std::uint64_t>(
-      args.get_int_checked("seed", 42, 0));
+  merged.seed = configs.front().seed;
+  const std::string out_path = args.get("out", default_out_name());
+  const bool update_baseline = args.get_bool("update-baseline", false);
+  const bool no_assert = args.get_bool("no-assert", false);
+  const std::string baseline_path =
+      update_baseline || !no_assert ? args.get("baseline", kBaselinePath) : "";
+  args.reject_unread();
   merged.git = git_head();
 
   // Harness wall-clock per bench and process resources: simulator-throughput
@@ -184,15 +221,17 @@ int run_mode(const Args& args) {
   std::vector<std::pair<std::string, double>> wall_ms;
   const auto suite_start = std::chrono::steady_clock::now();
 
-  for (const bench::BenchDef* def : selected) {
+  for (std::size_t i = 0; i < selected.size(); ++i) {
+    const bench::BenchDef* def = selected[i];
     std::printf(">>> %s: %s\n", def->name, def->title);
     std::fflush(stdout);
     report::BenchResult result;
     result.name = def->name;
     result.title = def->title;
+    result.config = config_json(configs[i]);
     bench::Reporter rep(result);
     const auto bench_start = std::chrono::steady_clock::now();
-    const int rc = def->fn(args, rep);
+    const int rc = def->fn(configs[i], rep);
     wall_ms.emplace_back(
         def->name,
         std::chrono::duration<double, std::milli>(
@@ -238,7 +277,6 @@ int run_mode(const Args& args) {
     std::printf("  %-*s %9.1f MB\n", width, "peak rss", peak_rss_mb);
   };
 
-  const std::string out_path = args.get("out", default_out_name());
   report::Json out_doc = merged.to_json();
   {
     report::Json per_bench = report::Json::object();
@@ -258,10 +296,7 @@ int run_mode(const Args& args) {
   std::printf("\nwrote %s (%zu benches, schema %s)\n", out_path.c_str(),
               merged.benches.size(), merged.schema.c_str());
 
-  const std::string baseline_path =
-      args.get("baseline", "bench/baseline.json");
-
-  if (args.has("update-baseline")) {
+  if (update_baseline) {
     // Keep the authored assertions; replace only the results snapshot.
     report::Json doc = report::Json::object();
     doc.set("schema", report::kSchema);
@@ -316,108 +351,92 @@ int run_mode(const Args& args) {
   return failures == 0 ? 0 : 1;
 }
 
-}  // namespace
+/// --render-md / --check-md: EXPERIMENTS.md from a results snapshot.
+int render_mode(const Args& args) {
+  const std::string baseline_path = args.get("baseline", kBaselinePath);
+  const std::string from = args.get("from", "");
+  const std::string check_path = args.get("check-md", "");
+  const std::string target =
+      check_path.empty() ? args.get("render-md", "true") : "";
+  args.reject_unread();
 
-int main(int argc, char** argv) {
-  const Args args(argc, argv);
+  Baseline b;
+  if (!from.empty()) {
+    b.results = report::Report::from_json(report::Json::parse(read_file(from)));
+    // Shape outcomes still come from the baseline's assertion set.
+    try {
+      b.assertions = load_baseline(baseline_path).assertions;
+    } catch (const report::JsonError&) {
+      // Render without assertions if no baseline is available.
+    }
+  } else {
+    b = load_baseline(baseline_path);
+  }
+  const std::string md = render_from_baseline(b);
+
+  if (!check_path.empty()) {
+    const std::string committed = read_file(check_path);
+    if (committed != md) {
+      std::fprintf(stderr,
+                   "doc drift: %s differs from the generator output "
+                   "(%zu vs %zu bytes).\nRegenerate with: "
+                   "tools/tlpbench --render-md %s\n",
+                   check_path.c_str(), committed.size(), md.size(),
+                   check_path.c_str());
+      return 1;
+    }
+    std::printf("%s matches the generator output (%zu bytes)\n",
+                check_path.c_str(), md.size());
+    return 0;
+  }
+
+  if (target == "true" || target == "-") {
+    std::fputs(md.c_str(), stdout);
+  } else if (!write_file(target, md)) {
+    std::fprintf(stderr, "error: cannot write %s\n", target.c_str());
+    return 1;
+  } else {
+    std::printf("wrote %s (%zu bytes)\n", target.c_str(), md.size());
+  }
+  return 0;
+}
+
+int list_mode(const Args& args) {
+  args.reject_unread();
+  std::printf("registered benches (tlpbench --only <name,...>):\n");
+  int width = 0;
+  for (const bench::BenchDef* def : bench::all_benches())
+    width = std::max(width, static_cast<int>(std::strlen(def->name)));
+  for (const bench::BenchDef* def : bench::all_benches()) {
+    std::printf("  %-*s %s", width, def->name, def->title);
+    if (def->min_vertices > 0) std::printf("  [--min-vertices N]");
+    if (def->requests > 0) std::printf("  [--requests N]");
+    std::printf("\n");
+  }
+  std::printf("(micro_sim is standalone: google-benchmark, own JSON "
+              "format)\n");
+  return 0;
+}
+
+int tlpbench(const Args& args) {
   try {
     if (args.get_bool("help", false)) {
-      usage(stdout);
+      usage();
       return 0;
     }
-    // The shared flags plus every registered bench's own flags (each bench's
-    // run() reads them from these Args, e.g. serve's --requests).
-    std::vector<std::string> known = kFlags;
-    for (const bench::BenchDef* def : bench::all_benches()) {
-      for (const std::string& f : bench::split_csv(def->extra_flags)) {
-        known.push_back(f);
-      }
-    }
-    if (const auto unknown = args.first_unknown(known)) {
-      std::fprintf(stderr, "error: unknown flag --%s\n", unknown->c_str());
-      usage(stderr);
-      return 2;
-    }
-    if (!args.positional().empty()) {
-      std::fprintf(stderr, "error: unexpected argument \"%s\"\n",
-                   args.positional().front().c_str());
-      usage(stderr);
-      return 2;
-    }
-
-    if (args.get_bool("list", false)) {
-      std::printf("registered benches (tlpbench --only <name,...>):\n");
-      int width = 0;
-      for (const bench::BenchDef* def : bench::all_benches())
-        width = std::max(width, static_cast<int>(std::strlen(def->name)));
-      for (const bench::BenchDef* def : bench::all_benches()) {
-        std::printf("  %-*s %s", width, def->name, def->title);
-        for (const std::string& f : bench::split_csv(def->extra_flags))
-          std::printf("  [--%s N]", f.c_str());
-        std::printf("\n");
-      }
-      std::printf("(micro_sim is standalone: google-benchmark, own JSON "
-                  "format)\n");
-      return 0;
-    }
-
+    if (args.get_bool("list", false)) return list_mode(args);
     if (args.has("render-md") || args.has("check-md")) {
-      const std::string baseline_path =
-          args.get("baseline", "bench/baseline.json");
-      Baseline b;
-      if (args.has("from")) {
-        b.results =
-            report::Report::from_json(report::Json::parse(read_file(
-                args.get("from", ""))));
-        // Shape outcomes still come from the baseline's assertion set.
-        try {
-          b.assertions = load_baseline(baseline_path).assertions;
-        } catch (const report::JsonError&) {
-          // Render without assertions if no baseline is available.
-        }
-      } else {
-        b = load_baseline(baseline_path);
-      }
-      const std::string md = render_from_baseline(b);
-
-      if (args.has("check-md")) {
-        const std::string path = args.get("check-md", "EXPERIMENTS.md");
-        const std::string committed = read_file(path);
-        if (committed != md) {
-          std::fprintf(stderr,
-                       "doc drift: %s differs from the generator output "
-                       "(%zu vs %zu bytes).\nRegenerate with: "
-                       "tools/tlpbench --render-md %s\n",
-                       path.c_str(), committed.size(), md.size(),
-                       path.c_str());
-          return 1;
-        }
-        std::printf("%s matches the generator output (%zu bytes)\n",
-                    path.c_str(), md.size());
-        return 0;
-      }
-
-      const std::string target = args.get("render-md", "true");
-      if (target == "true" || target == "-") {
-        std::fputs(md.c_str(), stdout);
-      } else if (!write_file(target, md)) {
-        std::fprintf(stderr, "error: cannot write %s\n", target.c_str());
-        return 1;
-      } else {
-        std::printf("wrote %s (%zu bytes)\n", target.c_str(), md.size());
-      }
-      return 0;
+      return render_mode(args);
     }
-
     return run_mode(args);
   } catch (const report::JsonError& e) {
     std::fprintf(stderr, "error: %s\n", e.message.c_str());
     return 1;
-  } catch (const UsageError& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  } catch (const CheckError& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
   }
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return tlp::run_main(argc, argv, &tlpbench);
 }

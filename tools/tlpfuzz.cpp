@@ -4,13 +4,15 @@
 //   tlpfuzz --time-budget 30             # stop after ~30 s instead
 //   tlpfuzz --expect-bugs                # self-check: seeded-bug kernels
 //                                        # must ALL be caught (exit 1 if the
-//                                        # harness misses one); its battery
-//                                        # is fixed, so campaign flags are
-//                                        # usage errors here
+//                                        # harness misses one)
 //   tlpfuzz --repro crash.el             # replay a minimized repro through
 //                                        # every oracle and model
 //   tlpfuzz --json report.json           # also write the JSON report
 //   tlpfuzz --repro-dir repros           # minimize failures into .el files
+//
+// Each mode reads only its own flags, and any other flag is a usage error:
+// the self-check takes --verbose and --json (its battery is fixed), a
+// replay also --repro and --seed, and a campaign everything but --repro.
 //
 // Exit codes: 0 all oracles held, 1 failures found (or, with --expect-bugs,
 // a seeded bug was missed) or a malformed or out-of-range number, 2
@@ -57,32 +59,24 @@ int run(const tlp::Args& args) {
         << "framework replica, and fault plan against the CPU reference.\n";
     return 0;
   }
-  if (const auto unknown = args.first_unknown(
-          {"iters", "seed", "time-budget", "repro", "expect-bugs", "repro-dir",
-           "json", "verbose", "help"})) {
-    std::cerr << "error: unknown flag --" << *unknown << "\n";
-    return 2;
-  }
-  const bool expect_bugs = args.get_bool("expect-bugs", false);
-  if (expect_bugs) {
-    for (const char* flag :
-         {"iters", "seed", "time-budget", "repro", "repro-dir"}) {
-      if (args.has(flag)) {
-        std::cerr << "error: flag --" << flag
-                  << " does not apply to --expect-bugs (fixed battery)\n";
-        return 2;
-      }
-    }
-  }
-
   tlp::fuzz::FuzzOptions opts;
-  opts.seed = static_cast<std::uint64_t>(
-      args.get_int_checked("seed", 42, 0));
-  opts.iters = static_cast<std::uint64_t>(
-      args.get_int_checked("iters", 500, 0, 100'000'000));
-  opts.time_budget_s = args.get_double_checked("time-budget", 0.0, 0.0, 1e9);
-  opts.repro_dir = args.get("repro-dir", "");
   opts.verbose = args.get_bool("verbose", false);
+  const std::string json_path = args.get("json", "");
+  const bool expect_bugs = args.get_bool("expect-bugs", false);
+  std::string repro;
+  if (!expect_bugs) {
+    repro = args.get("repro", "");
+    opts.seed = static_cast<std::uint64_t>(
+        args.get_int_checked("seed", 42, 0));
+  }
+  if (!expect_bugs && repro.empty()) {
+    opts.iters = static_cast<std::uint64_t>(
+        args.get_int_checked("iters", 500, 0, 100'000'000));
+    opts.time_budget_s =
+        args.get_double_checked("time-budget", 0.0, 0.0, 1e9);
+    opts.repro_dir = args.get("repro-dir", "");
+  }
+  args.reject_unread();
 
   try {
     if (expect_bugs) {
@@ -102,15 +96,15 @@ int run(const tlp::Args& args) {
       std::cout << "tlpfuzz: " << rep.mutants.size()
                 << " seeded-bug kernels, "
                 << (rep.all_caught() ? "all caught" : "SOME MISSED") << "\n";
-      if (args.has("json"))
-        write_file(args.get("json", ""), tlp::fuzz::report_to_json(rep));
+      if (!json_path.empty())
+        write_file(json_path, tlp::fuzz::report_to_json(rep));
       return rep.all_caught() ? 0 : 1;
     }
 
     tlp::fuzz::FuzzReport rep;
-    if (args.has("repro")) {
-      rep = tlp::fuzz::run_repro(args.get("repro", ""), opts);
-      std::cout << "tlpfuzz: replayed " << args.get("repro", "") << " through "
+    if (!repro.empty()) {
+      rep = tlp::fuzz::run_repro(repro, opts);
+      std::cout << "tlpfuzz: replayed " << repro << " through "
                 << rep.cases_run << " model/width combinations ("
                 << rep.oracle_checks << " oracle checks)\n";
     } else {
@@ -122,8 +116,8 @@ int run(const tlp::Args& args) {
                 << " s (seed " << rep.seed << ")\n";
     }
     print_failures(rep);
-    if (args.has("json"))
-      write_file(args.get("json", ""), tlp::fuzz::report_to_json(rep));
+    if (!json_path.empty())
+      write_file(json_path, tlp::fuzz::report_to_json(rep));
     return rep.ok() ? 0 : 1;
   } catch (const std::exception& e) {
     std::cerr << "tlpfuzz: fatal: " << e.what() << "\n";
@@ -133,17 +127,4 @@ int run(const tlp::Args& args) {
 
 }  // namespace
 
-// A malformed flag is a usage error (exit 2) or, for a bad number, a
-// CheckError (exit 1); both messages name the flag.
-int main(int argc, char** argv) {
-  const tlp::Args args(argc, argv);
-  try {
-    return run(args);
-  } catch (const tlp::UsageError& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 2;
-  } catch (const tlp::CheckError& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 1;
-  }
-}
+int main(int argc, char** argv) { return tlp::run_main(argc, argv, &run); }

@@ -7,14 +7,19 @@
 //                   [--memcheck] [--device-mem-gb G]
 //                   [--oom-at N] [--fail-launch N]
 //                   [--flip-at N] [--flip-bits B] [--flip-alloc I]
-//   tlpgnn_cli gen  --out graph.el [--dataset RD | --vertices N --edges M
-//                   --alpha A] [--max-edges N] [--format el|bin]
-//   tlpgnn_cli info [--dataset PD | --graph file.el]
+//   tlpgnn_cli gen  --out graph.el [--format el|bin] [--seed S]
+//                   [--dataset RD [--max-edges N] [--full]
+//                    | --vertices N --edges M --alpha A]
+//   tlpgnn_cli info [--dataset PD [--max-edges N] [--full] [--seed S]
+//                    | --graph file.el]
 //
 // `run` executes one graph convolution on any system and prints the
 // Nsight-style profile; `gen` materializes dataset replicas to disk;
 // `info` prints graph statistics. `--graph` also reads MatrixMarket (.mtx)
-// files. An unknown flag is a usage error (exit 2).
+// and binary CSR (.bin) files. Each command reads only its own flags, and a
+// flag it would not use is a usage error (exit 2): `--heads` is read only
+// for GAT, `--flip-bits`/`--flip-alloc` only with `--flip-at`, and
+// `--dataset`/`--max-edges`/`--full` only without `--graph`.
 //
 // Fault-model flags (see DESIGN.md "Fault model & memory safety"):
 //   --memcheck        run with guarded device memory (redzones, poison,
@@ -26,10 +31,9 @@
 //   --flip-at N       flip --flip-bits random bits before the Nth launch,
 //                     in allocation --flip-alloc (0-based; -1 = random)
 #include <cstdio>
-#include <fstream>
+#include <functional>
 #include <limits>
 #include <string>
-#include <vector>
 
 #include "common/cli.hpp"
 #include "common/format.hpp"
@@ -47,41 +51,26 @@ namespace {
 
 using namespace tlp;
 
-/// Every flag of run, gen and info, in one list: the commands share the
-/// graph-source flags.
-const std::vector<std::string> kFlags{
-    // run
-    "system", "model", "feature", "heads", "gpu-scale", "check", "repeat",
-    "memcheck", "device-mem-gb", "oom-at", "fail-launch", "flip-at",
-    "flip-bits", "flip-alloc",
-    // graph source (run, gen, info)
-    "dataset", "graph", "max-edges", "full", "seed",
-    // gen
-    "out", "vertices", "edges", "alpha", "format"};
+/// A graph named by the flags, built only when called: the flags are read,
+/// and checked, before any work.
+using GraphMaker = std::function<graph::Csr()>;
 
-graph::Csr load_graph(const Args& args) {
-  const std::string path = args.get("graph", "");
-  if (!path.empty()) {
-    if (path.size() > 4 && path.substr(path.size() - 4) == ".mtx")
-      return graph::read_matrix_market_file(path);
-    if (path.size() > 4 && path.substr(path.size() - 4) == ".bin")
-      return graph::read_binary_csr_file(path);
-    return graph::read_edge_list_file(path);
-  }
-  const auto& ds = graph::dataset_by_abbr(args.get("dataset", "PD"));
-  return graph::make_dataset(
-      ds, {.max_edges = args.get_int_checked("max-edges", 500'000, 1),
-           .full = args.get_bool("full", false),
-           .seed = static_cast<std::uint64_t>(
-               args.get_int_checked("seed", 42, 0))});
+/// A dataset replica: --dataset, --max-edges, --full, --seed.
+GraphMaker read_replica(const Args& args) {
+  const graph::DatasetSpec& ds = graph::dataset_by_abbr(
+      args.get_choice("dataset", "PD", graph::dataset_abbrs()));
+  const graph::ReplicaOptions opts{
+      .max_edges = args.get_int_checked("max-edges", 500'000, 1),
+      .full = args.get_bool("full", false),
+      .seed = static_cast<std::uint64_t>(args.get_int_checked("seed", 42, 0))};
+  return [&ds, opts] { return graph::make_dataset(ds, opts); };
 }
 
-models::ModelKind parse_model(const Args& args) {
-  const std::string name = args.get("model", "GCN");
-  for (const auto k : models::kAllModels)
-    if (name == models::model_name(k)) return k;
-  TLP_CHECK_MSG(false, "unknown model '" << name << "' (GCN/GIN/Sage/GAT)");
-  __builtin_unreachable();
+/// --graph FILE, or else a dataset replica.
+GraphMaker read_graph_source(const Args& args) {
+  const std::string path = args.get("graph", "");
+  if (path.empty()) return read_replica(args);
+  return [path] { return graph::read_graph_file(path); };
 }
 
 sim::DeviceOptions device_options(const Args& args) {
@@ -94,33 +83,47 @@ sim::DeviceOptions device_options(const Args& args) {
   opts.faults.oom_at_alloc = args.get_int_checked("oom-at", 0, 0, kSeqMax);
   opts.faults.fail_launch = args.get_int_checked("fail-launch", 0, 0, kSeqMax);
   opts.faults.flip_at_launch = args.get_int_checked("flip-at", 0, 0, kSeqMax);
-  opts.faults.flip_bits =
-      static_cast<int>(args.get_int_checked("flip-bits", 1, 1, 1 << 20));
-  opts.faults.flip_alloc = args.get_int_checked("flip-alloc", -1, -1, kSeqMax);
+  if (opts.faults.flip_at_launch > 0) {
+    opts.faults.flip_bits =
+        static_cast<int>(args.get_int_checked("flip-bits", 1, 1, 1 << 20));
+    opts.faults.flip_alloc =
+        args.get_int_checked("flip-alloc", -1, -1, kSeqMax);
+  }
   opts.faults.seed =
       static_cast<std::uint64_t>(args.get_int_checked("seed", 42, 0, kSeqMax));
   return opts;
 }
 
 int cmd_run(const Args& args) {
-  const graph::Csr g = load_graph(args);
-  const models::ModelKind kind = parse_model(args);
+  const GraphMaker make_graph = read_graph_source(args);
+  const models::ModelKind kind = models::model_from_name(
+      args.get_choice("model", "GCN", models::model_names()));
   const std::int64_t f = args.get_int_checked("feature", 32, 1, 1 << 16);
-  const int heads = static_cast<int>(args.get_int_checked("heads", 1, 1, 64));
-  const std::string sysname = args.get("system", "tlpgnn");
+  // Only GAT has heads (ConvSpec::make ignores the count otherwise).
+  const int heads =
+      kind == models::ModelKind::kGat
+          ? static_cast<int>(args.get_int_checked("heads", 1, 1, 64))
+          : 1;
+  const std::string sysname =
+      args.get_choice("system", "tlpgnn", systems::system_names());
   const int repeat =
       static_cast<int>(args.get_int_checked("repeat", 1, 1, 1'000'000));
-
-  Rng rng(static_cast<std::uint64_t>(args.get_int_checked("seed", 42, 0)));
-  const tensor::Tensor feat = tensor::Tensor::random(g.num_vertices(), f, rng);
-  const models::ConvSpec spec = models::ConvSpec::make(kind, f, rng, heads);
-
+  const auto seed =
+      static_cast<std::uint64_t>(args.get_int_checked("seed", 42, 0));
   const int gpu_scale =
       static_cast<int>(args.get_int_checked("gpu-scale", 1, 1, 1000));
   const double mem_gb =
       args.get_double_checked("device-mem-gb", 0.0, 0.0, 1e6);
   const std::int64_t mem_bytes =
       mem_gb > 0 ? static_cast<std::int64_t>(mem_gb * (1LL << 30)) : 0;
+  const sim::DeviceOptions dev_opts = device_options(args);
+  const bool check = args.get_bool("check", false);
+  args.reject_unread();
+
+  const graph::Csr g = make_graph();
+  Rng rng(seed);
+  const tensor::Tensor feat = tensor::Tensor::random(g.num_vertices(), f, rng);
+  const models::ConvSpec spec = models::ConvSpec::make(kind, f, rng, heads);
 
   std::printf("%s | %s | %s | F=%lld%s\n", sysname.c_str(),
               models::model_name(kind), g.summary().c_str(),
@@ -135,14 +138,14 @@ int cmd_run(const Args& args) {
     EngineOptions eopts;
     eopts.gpu = sim::GpuSpec::v100_scaled(gpu_scale);
     eopts.device_memory_bytes = mem_bytes;
-    eopts.device = device_options(args);
+    eopts.device = dev_opts;
     Engine engine(eopts);
     for (int i = 0; i < repeat; ++i) r = engine.conv(g, feat, spec);
   } else {
     auto sys = systems::make_system(sysname);
     sim::GpuSpec spec_gpu = sim::GpuSpec::v100_scaled(gpu_scale);
     if (mem_bytes > 0) spec_gpu.memory_bytes = mem_bytes;
-    sim::Device dev(spec_gpu, device_options(args));
+    sim::Device dev(spec_gpu, dev_opts);
     for (int i = 0; i < repeat; ++i) r = sys->run(dev, g, feat, spec);
   }
   const double host_s = wall.seconds();
@@ -176,7 +179,7 @@ int cmd_run(const Args& args) {
   if (r.degradation.degraded)
     std::printf("degradation cause: %s\n", r.degradation.reason.c_str());
 
-  if (args.get_bool("check", false)) {
+  if (check) {
     const tensor::Tensor ref = models::reference_conv(g, feat, spec);
     const bool ok = tensor::allclose(r.output, ref, 1e-3, 1e-4);
     std::printf("reference check: %s\n", ok ? "PASS" : "FAIL");
@@ -188,11 +191,10 @@ int cmd_run(const Args& args) {
 int cmd_gen(const Args& args) {
   const std::string out = args.get("out", "");
   TLP_CHECK_MSG(!out.empty(), "gen requires --out <path>");
-  // Checked before the (possibly large) graph is built or anything written.
   const std::string format = args.get_choice("format", "el", {"el", "bin"});
-  graph::Csr g;
+  GraphMaker make_graph;
   if (args.has("dataset")) {
-    g = load_graph(args);
+    make_graph = read_replica(args);
   } else {
     // power_law needs n >= 2 vertices that fit graph::VertexId, and a
     // power-law exponent above 1.
@@ -202,9 +204,15 @@ int cmd_gen(const Args& args) {
     const double alpha = args.get_double_checked("alpha", 2.3, 0.1, 64.0);
     TLP_CHECK_MSG(alpha > 1.0, "flag --alpha: value " << alpha
                                    << " must be greater than 1");
-    Rng rng(static_cast<std::uint64_t>(args.get_int_checked("seed", 42, 0)));
-    g = graph::power_law(n, m, alpha, rng);
+    const auto seed =
+        static_cast<std::uint64_t>(args.get_int_checked("seed", 42, 0));
+    make_graph = [=] {
+      Rng rng(seed);
+      return graph::power_law(n, m, alpha, rng);
+    };
   }
+  args.reject_unread();
+  const graph::Csr g = make_graph();
   if (format == "bin") {
     graph::write_binary_csr_file(out, g);
   } else {
@@ -215,7 +223,9 @@ int cmd_gen(const Args& args) {
 }
 
 int cmd_info(const Args& args) {
-  const graph::Csr g = load_graph(args);
+  const GraphMaker make_graph = read_graph_source(args);
+  args.reject_unread();
+  const graph::Csr g = make_graph();
   const graph::DegreeStats s = graph::degree_stats(g);
   std::printf("%s\n", g.summary().c_str());
   TextTable t({"degree stat", "value"});
@@ -237,27 +247,14 @@ int cmd_info(const Args& args) {
   return 0;
 }
 
+int cli(const Args& args) {
+  const std::string cmd = args.positional(0, "run");
+  if (cmd == "run") return cmd_run(args);
+  if (cmd == "gen") return cmd_gen(args);
+  if (cmd == "info") return cmd_info(args);
+  throw UsageError("unknown command '" + cmd + "' (run|gen|info)");
+}
+
 }  // namespace
 
-int main(int argc, char** argv) {
-  const tlp::Args args(argc, argv);
-  if (const auto unknown = args.first_unknown(kFlags)) {
-    std::fprintf(stderr, "error: unknown flag --%s\n", unknown->c_str());
-    return 2;
-  }
-  const std::string cmd =
-      args.positional().empty() ? "run" : args.positional()[0];
-  try {
-    if (cmd == "run") return cmd_run(args);
-    if (cmd == "gen") return cmd_gen(args);
-    if (cmd == "info") return cmd_info(args);
-    std::fprintf(stderr, "unknown command '%s' (run|gen|info)\n", cmd.c_str());
-    return 2;
-  } catch (const tlp::UsageError& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  } catch (const tlp::CheckError& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
-}
+int main(int argc, char** argv) { return tlp::run_main(argc, argv, &cli); }

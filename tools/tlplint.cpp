@@ -22,9 +22,12 @@
 // or above the --fail-on severity exists (useful locally); with --baseline,
 // only *new* findings gate, so known paper-documented pathologies stay
 // visible without breaking CI. --strict makes a truncated trace (TLP-META-000
-// — incomplete coverage) failing in either mode. An unknown flag or a
-// malformed boolean value is a usage error (exit 2); a malformed number
-// exits 1. See README.md ("Linting the kernels") for the workflow.
+// — incomplete coverage) failing in either mode. --update-baseline returns
+// before any gate, so it takes none of --baseline, --fail-on and --strict,
+// and --baseline takes no --fail-on. A flag the mode does not read, an
+// unknown system or severity, or a malformed boolean value is a usage error
+// (exit 2); a malformed number exits 1. See README.md ("Linting the
+// kernels") for the workflow.
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -36,6 +39,7 @@
 #include "common/check.hpp"
 #include "common/cli.hpp"
 #include "common/table.hpp"
+#include "systems/system.hpp"
 
 namespace {
 
@@ -70,15 +74,6 @@ void write_file(const std::string& path, const std::string& content) {
     std::exit(2);
   }
   out << content;
-}
-
-Severity parse_fail_on(const std::string& s) {
-  if (s == "note") return Severity::kNote;
-  if (s == "warning") return Severity::kWarning;
-  if (s == "error") return Severity::kError;
-  std::cerr << "tlplint: --fail-on must be note, warning, or error (got '"
-            << s << "')\n";
-  std::exit(2);
 }
 
 void print_report(const std::vector<Diagnostic>& diags) {
@@ -119,19 +114,13 @@ int run(const tlp::Args& args) {
         << "trace.\n";
     return 0;
   }
-  if (const auto unknown = args.first_unknown(
-          {"systems", "serve", "json", "sarif", "fail-on", "strict",
-           "max-trace-mb", "baseline", "update-baseline", "help"})) {
-    std::cerr << "error: unknown flag --" << *unknown << "\n";
-    return 2;
+  std::vector<std::string> systems = tlp::systems::system_names();
+  if (args.has("systems")) {
+    const std::vector<std::string> valid = systems;
+    systems = split_csv(args.get("systems", ""));
+    for (const std::string& name : systems)
+      tlp::check_choice("systems", name, valid);
   }
-
-  std::vector<std::string> systems =
-      tlp::analysis::lint_system_names();
-  if (args.has("systems")) systems = split_csv(args.get("systems", ""));
-
-  const std::vector<tlp::analysis::LintDataset> datasets =
-      tlp::analysis::default_lint_datasets();
 
   tlp::analysis::PassOptions opt;
   opt.gpu = tlp::analysis::lint_gpu_spec();
@@ -139,10 +128,28 @@ int run(const tlp::Args& args) {
       static_cast<std::size_t>(
           args.get_int_checked("max-trace-mb", 1024, 1, 1 << 20))
       << 20;
-  const Severity fail_on = parse_fail_on(args.get("fail-on", "error"));
-  const bool strict = args.get_bool("strict", false);
   const bool with_serve = args.get_bool("serve", false);
+  const std::string json_path = args.get("json", "");
+  const std::string sarif_path = args.get("sarif", "");
+  // The modes: refresh the baseline, gate on it, or gate on severity.
+  const std::string update_path = args.get("update-baseline", "");
+  std::string baseline_path;
+  bool strict = false;
+  Severity fail_on = Severity::kError;
+  if (update_path.empty()) {
+    strict = args.get_bool("strict", false);
+    baseline_path = args.get("baseline", "");
+  }
+  if (update_path.empty() && baseline_path.empty()) {
+    const std::string name =
+        args.get_choice("fail-on", "error", {"note", "warning", "error"});
+    for (const Severity s : {Severity::kNote, Severity::kWarning})
+      if (name == severity_name(s)) fail_on = s;
+  }
+  args.reject_unread();
 
+  const std::vector<tlp::analysis::LintDataset> datasets =
+      tlp::analysis::default_lint_datasets();
   std::cerr << "tlplint: analyzing " << systems.size() << " systems x "
             << datasets.size() << " datasets"
             << (with_serve ? " + served session" : "") << "...\n";
@@ -181,12 +188,11 @@ int run(const tlp::Args& args) {
 
   const std::string json =
       tlp::analysis::to_json(report.diagnostics, report.trace_truncated);
-  if (args.has("json")) write_file(args.get("json", ""), json);
-  if (args.has("sarif"))
-    write_file(args.get("sarif", ""),
-               tlp::analysis::to_sarif(report.diagnostics));
-  if (args.has("update-baseline")) {
-    write_file(args.get("update-baseline", ""), json);
+  if (!json_path.empty()) write_file(json_path, json);
+  if (!sarif_path.empty())
+    write_file(sarif_path, tlp::analysis::to_sarif(report.diagnostics));
+  if (!update_path.empty()) {
+    write_file(update_path, json);
     std::cout << "tlplint: baseline updated ("
               << report.diagnostics.size() << " diagnostics)\n";
     return 0;
@@ -201,9 +207,9 @@ int run(const tlp::Args& args) {
     strict_rc = 1;
   }
 
-  if (args.has("baseline")) {
+  if (!baseline_path.empty()) {
     const std::vector<std::string> baseline_keys =
-        tlp::analysis::keys_from_json(read_file(args.get("baseline", "")));
+        tlp::analysis::keys_from_json(read_file(baseline_path));
     const std::vector<Diagnostic> fresh =
         tlp::analysis::new_versus_baseline(report.diagnostics, baseline_keys);
     if (!fresh.empty()) {
@@ -212,7 +218,7 @@ int run(const tlp::Args& args) {
       for (const Diagnostic& d : fresh)
         std::cout << "  " << d.key() << "\n    " << d.message << "\n";
       std::cout << "If intended, refresh with: tlplint --update-baseline "
-                << args.get("baseline", "") << "\n";
+                << baseline_path << "\n";
       return 1;
     }
     std::cout << "tlplint: no new diagnostics versus baseline ("
@@ -231,15 +237,4 @@ int run(const tlp::Args& args) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const tlp::Args args(argc, argv);
-  try {
-    return run(args);
-  } catch (const tlp::UsageError& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 2;
-  } catch (const tlp::CheckError& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 1;
-  }
-}
+int main(int argc, char** argv) { return tlp::run_main(argc, argv, &run); }

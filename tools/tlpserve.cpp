@@ -19,12 +19,14 @@
 //             [--cache-rounds 3]
 //   output:   [--json PATH] [--verify] [--quiet]
 //
-// Three flag groups need an anchor flag, and a group flag without its
-// anchor is a usage error: --burst-len, --burst-speedup and --idle-gap-ms
-// shape the bursty process, so they need --arrival bursty; the storm flags
-// need --storm-at; --cache-ratio and --cache-rounds need --cache-policy.
-// --partitions is the fallback's first part count, at least 2: one
-// partition is the direct path the fallback replaces.
+// A flag is read only where the run uses it, and a flag the run would not
+// read is a usage error (exit 2): --burst-len, --burst-speedup and
+// --idle-gap-ms shape the bursty process, so they are read only under
+// --arrival bursty; the other storm flags only with --storm-at; --cache-ratio
+// only under --cache-policy presample or degree, and --cache-rounds only
+// under presample; --heads only for GAT; --dataset and --max-edges only
+// without --graph. --partitions is the fallback's first part count, at
+// least 2: one partition is the direct path the fallback replaces.
 //
 // The cache flags attach a pre-sampling feature cache (DESIGN.md §12):
 // --cache-policy picks how the pinned set is ranked, --cache-ratio the
@@ -43,6 +45,7 @@
 #include <cctype>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -61,72 +64,34 @@ using namespace tlp;
 
 constexpr std::int64_t kSeqMax = 1'000'000'000'000;
 
-const std::vector<std::string>& known_flags() {
-  static const std::vector<std::string> kFlags{
-      "dataset", "graph", "max-edges", "seed", "model", "feature", "heads",
-      "requests", "arrival", "mean-gap-ms", "burst-len", "burst-speedup",
-      "idle-gap-ms", "zipf", "hops", "max-ego", "deadline-ms",
-      "queue-cap", "max-batch", "batch-window-ms", "retries", "backoff-ms",
-      "jitter", "fallback-attempts", "partitions", "breaker-threshold",
-      "breaker-cooldown-ms", "gpu-scale", "device-mem-gb",
-      "storm-at", "storm-oom-every", "storm-oom-burst", "storm-launch-every",
-      "storm-launch-burst", "storm-stop-at",
-      "cache-policy", "cache-ratio", "cache-rounds",
-      "json", "verify", "quiet", "help"};
-  return kFlags;
-}
-
-/// Rejects each of `flags` that is set without its group's anchor: a usage
-/// error naming the flag, so the run stops with exit 2 before any work.
-void require_anchor(const Args& args, std::initializer_list<const char*> flags,
-                    const char* anchor) {
-  for (const char* f : flags) {
-    if (args.has(f)) {
-      throw UsageError(std::string("flag --") + f + " requires " + anchor);
-    }
-  }
-}
-
-graph::Csr load_graph(const Args& args) {
+/// --graph FILE, or else a --dataset replica; built only when called, so
+/// every flag is read and checked before any work.
+std::function<graph::Csr()> read_graph_source(const Args& args) {
   const std::string path = args.get("graph", "");
-  if (!path.empty()) return graph::read_edge_list_file(path);
-  const auto& ds = graph::dataset_by_abbr(args.get("dataset", "PD"));
-  return graph::make_dataset(
-      ds, {.max_edges = args.get_int_checked("max-edges", 200'000, 1, kSeqMax),
-           .full = false,
-           .seed = static_cast<std::uint64_t>(
-               args.get_int_checked("seed", 42, 0, kSeqMax))});
-}
-
-models::ModelKind parse_model(const Args& args) {
-  const std::string name = args.get("model", "GCN");
-  for (const auto k : models::kAllModels)
-    if (name == models::model_name(k)) return k;
-  TLP_CHECK_MSG(false, "unknown model '" << name << "' (GCN/GIN/Sage/GAT)");
-  __builtin_unreachable();
+  if (!path.empty()) return [path] { return graph::read_graph_file(path); };
+  const graph::DatasetSpec& ds = graph::dataset_by_abbr(
+      args.get_choice("dataset", "PD", graph::dataset_abbrs()));
+  const graph::ReplicaOptions opts{
+      .max_edges = args.get_int_checked("max-edges", 200'000, 1, kSeqMax),
+      .full = false,
+      .seed = static_cast<std::uint64_t>(
+          args.get_int_checked("seed", 42, 0, kSeqMax))};
+  return [&ds, opts] { return graph::make_dataset(ds, opts); };
 }
 
 serve::TrafficOptions traffic_options(const Args& args) {
   serve::TrafficOptions t;
   t.num_requests = args.get_int_checked("requests", 256, 0, 1'000'000);
-  const std::string arrival = args.get("arrival", "poisson");
-  if (arrival == "poisson") {
-    t.arrival = serve::ArrivalProcess::kPoisson;
-  } else if (arrival == "bursty") {
+  if (args.get_choice("arrival", "poisson", {"poisson", "bursty"}) ==
+      "bursty") {
     t.arrival = serve::ArrivalProcess::kBursty;
-  } else {
-    TLP_CHECK_MSG(false,
-                  "unknown --arrival '" << arrival << "' (poisson|bursty)");
+    t.burst_len = args.get_int_checked("burst-len", 32, 1, 1'000'000);
+    t.burst_speedup =
+        args.get_double_checked("burst-speedup", 8.0, 1e-6, 1e9);
+    t.gap_ms = args.get_double_checked("idle-gap-ms", 20.0, 0, 1e9);
   }
   t.mean_interarrival_ms =
       args.get_double_checked("mean-gap-ms", 1.0, 1e-6, 1e9);
-  if (t.arrival != serve::ArrivalProcess::kBursty) {
-    require_anchor(args, {"burst-len", "burst-speedup", "idle-gap-ms"},
-                   "--arrival bursty");
-  }
-  t.burst_len = args.get_int_checked("burst-len", 32, 1, 1'000'000);
-  t.burst_speedup = args.get_double_checked("burst-speedup", 8.0, 1e-6, 1e9);
-  t.gap_ms = args.get_double_checked("idle-gap-ms", 20.0, 0, 1e9);
   t.zipf_alpha = args.get_double_checked("zipf", 0.8, 0, 64);
   t.hops = static_cast<int>(args.get_int_checked("hops", 2, 0, 16));
   t.max_ego_vertices = args.get_int_checked("max-ego", 512, 1, kSeqMax);
@@ -189,30 +154,24 @@ serve::ServerOptions server_options(const Args& args) {
                                        << storm_at);
       s.storms.push_back({stop, sim::FaultPlan{}});
     }
-  } else {
-    require_anchor(args,
-                   {"storm-oom-every", "storm-oom-burst", "storm-launch-every",
-                    "storm-launch-burst", "storm-stop-at"},
-                   "--storm-at to anchor the storm");
   }
   return s;
 }
 
-/// Parses the cache flags. --cache-policy anchors the group (mirrors the
-/// storm flags): without it the other cache flags are rejected and the
-/// server runs cacheless.
+/// Reads the cache flags: without --cache-policy the server runs cacheless.
+/// Each policy reads only the settings it uses.
 std::optional<serve::FeatureCacheOptions> cache_options(const Args& args) {
-  if (!args.has("cache-policy")) {
-    require_anchor(args, {"cache-ratio", "cache-rounds"},
-                   "--cache-policy to attach a cache");
-    return std::nullopt;
-  }
+  if (!args.has("cache-policy")) return std::nullopt;
   serve::FeatureCacheOptions c;
   c.policy = serve::cache_policy_from_name(args.get_choice(
       "cache-policy", "presample", {"presample", "degree", "none"}));
-  c.cache_ratio = args.get_double_checked("cache-ratio", 0.10, 0, 1);
-  c.warmup_rounds =
-      static_cast<int>(args.get_int_checked("cache-rounds", 3, 0, 1024));
+  if (c.policy != serve::CachePolicy::kNone) {
+    c.cache_ratio = args.get_double_checked("cache-ratio", 0.10, 0, 1);
+  }
+  if (c.policy == serve::CachePolicy::kPresample) {
+    c.warmup_rounds =
+        static_cast<int>(args.get_int_checked("cache-rounds", 3, 0, 1024));
+  }
   return c;
 }
 
@@ -278,28 +237,54 @@ int verify_against_fault_free(const std::vector<serve::Response>& storm,
   return cmp.mismatched.empty() ? 0 : 1;
 }
 
-void print_usage(std::FILE* to) {
-  std::fprintf(to, "tlpserve: request-driven serving over the simulator\n"
-                   "flags:");
-  for (const std::string& f : known_flags()) std::fprintf(to, " --%s", f.c_str());
-  std::fprintf(to, "\n(see the header of tools/tlpserve.cpp for semantics)\n");
+void print_usage() {
+  std::printf(
+      "tlpserve: request-driven serving over the simulator\n\n"
+      "graph:    [--dataset PD [--max-edges N] | --graph FILE] [--seed S]\n"
+      "model:    [--model GCN|GIN|Sage|GAT] [--feature 32] [--heads 1 (GAT)]\n"
+      "traffic:  [--requests 256] [--arrival poisson|bursty] [--mean-gap-ms 1]\n"
+      "          [--zipf 0.8] [--hops 2] [--max-ego 512] [--deadline-ms D]\n"
+      "bursty:   [--burst-len 32] [--burst-speedup 8] [--idle-gap-ms 20]\n"
+      "serving:  [--queue-cap 64] [--max-batch 8] [--batch-window-ms 2]\n"
+      "          [--retries 2] [--backoff-ms 0.5] [--jitter 0.2]\n"
+      "          [--fallback-attempts 2] [--partitions 2]\n"
+      "          [--breaker-threshold 4] [--breaker-cooldown-ms 50]\n"
+      "          [--gpu-scale 1] [--device-mem-gb G]\n"
+      "storm:    [--storm-at REQ [--storm-oom-every N] [--storm-oom-burst L]\n"
+      "          [--storm-launch-every N] [--storm-launch-burst L]\n"
+      "          [--storm-stop-at REQ]]\n"
+      "cache:    [--cache-policy presample|degree|none [--cache-ratio 0.1]\n"
+      "          [--cache-rounds 3 (presample)]]\n"
+      "output:   [--json PATH] [--verify] [--quiet]\n"
+      "(see the header of tools/tlpserve.cpp for semantics)\n");
 }
 
 int run(const Args& args) {
-  // The traffic, server and cache flags are parsed before any work, so a
-  // usage error among them stops the run before it prints or writes anything.
+  if (args.get_bool("help", false)) {
+    print_usage();
+    return 0;
+  }
+  // Every flag is read before any work, so a usage error stops the run
+  // before it prints or writes anything.
+  const std::function<graph::Csr()> make_graph = read_graph_source(args);
+  const models::ModelKind kind = models::model_from_name(
+      args.get_choice("model", "GCN", models::model_names()));
+  const std::int64_t f = args.get_int_checked("feature", 32, 1, 1 << 16);
+  // Only GAT has heads (ConvSpec::make ignores the count otherwise).
+  const int heads =
+      kind == models::ModelKind::kGat
+          ? static_cast<int>(args.get_int_checked("heads", 1, 1, 64))
+          : 1;
+  const bool quiet = args.get_bool("quiet", false);
+  const bool verify = args.get_bool("verify", false);
+  const std::string json_path = args.get("json", "");
   const serve::TrafficOptions topts = traffic_options(args);
   const serve::ServerOptions sopts = server_options(args);
   const std::optional<serve::FeatureCacheOptions> copts = cache_options(args);
+  args.reject_unread();
 
-  const graph::Csr g = load_graph(args);
-  const models::ModelKind kind = parse_model(args);
-  const std::int64_t f = args.get_int_checked("feature", 32, 1, 1 << 16);
-  const int heads = static_cast<int>(args.get_int_checked("heads", 1, 1, 64));
-  const bool quiet = args.get_bool("quiet", false);
-
-  Rng rng(static_cast<std::uint64_t>(args.get_int_checked("seed", 42, 0,
-                                                          kSeqMax)));
+  const graph::Csr g = make_graph();
+  Rng rng(topts.seed);
   const tensor::Tensor feat = tensor::Tensor::random(g.num_vertices(), f, rng);
   const models::ConvSpec spec = models::ConvSpec::make(kind, f, rng, heads);
 
@@ -323,7 +308,7 @@ int run(const Args& args) {
   if (!quiet) print_report(res.report);
 
   int rc = 0;
-  if (args.get_bool("verify", false)) {
+  if (verify) {
     serve::ServerOptions clean_opts = sopts;
     clean_opts.storms.clear();
     // The twin gets its own cache (same deterministic pinned set) so its
@@ -335,7 +320,6 @@ int run(const Args& args) {
     rc = verify_against_fault_free(res.responses, twin.responses);
   }
 
-  const std::string json_path = args.get("json", "");
   if (!json_path.empty()) {
     report::Json doc = report::Json::object();
     doc.set("schema", "tlpserve-v1");
@@ -356,24 +340,4 @@ int run(const Args& args) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const tlp::Args args(argc, argv);
-  try {
-    if (args.get_bool("help", false)) {
-      print_usage(stdout);
-      return 0;
-    }
-    if (const auto unknown = args.first_unknown(known_flags())) {
-      std::fprintf(stderr, "error: unknown flag --%s\n", unknown->c_str());
-      print_usage(stderr);
-      return 2;
-    }
-    return run(args);
-  } catch (const tlp::UsageError& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 2;
-  } catch (const tlp::CheckError& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
-  }
-}
+int main(int argc, char** argv) { return tlp::run_main(argc, argv, &run); }
